@@ -747,7 +747,7 @@ fn check_golden(file: &str, produced: &str) {
     let golden = std::fs::read_to_string(&path).expect("read committed golden file");
     assert_eq!(
         produced, golden,
-        "stimulus stream drifted from the committed golden \
+        "serialized output drifted from the committed golden \
          (crates/cover/golden/{file}); if the change is intentional, \
          regenerate with UPDATE_GOLDEN=1 cargo test -p la1-cover"
     );
@@ -962,6 +962,39 @@ fn stage_checkpoint_round_trips_and_rejects_corruption() {
         parsed.restore(&other),
         Err(CheckpointError::FingerprintMismatch { .. })
     ));
+}
+
+#[test]
+fn stage_checkpoint_and_reports_match_committed_goldens() {
+    // the stage-checkpoint format, the staged report and the coverage
+    // report are persistence/report contracts: pinned byte for byte
+    let mut cfg = crate::staged::StagedConfig::new(small_cfg(2), 5);
+    cfg.guided = false;
+    cfg.closure.epoch = 100;
+    cfg.stage1_budget = 300;
+    cfg.streams = 2;
+    cfg.stream_budget = 200;
+    let mut sc = LaSystemC::new(&cfg.closure.config);
+    let mut collector = CoverageCollector::new(CoverageModel::la1(&cfg.closure.config));
+    let mut generator =
+        crate::closure::Generator::for_stream(&cfg.closure, cfg.guided, cfg.closure.seed);
+    run_abv_observed(&mut sc, &mut generator, 300, &mut collector);
+    check_golden("coverage_2bank_seed5.json", &collector.to_json());
+    let ckpt = crate::staged::StageCheckpoint::capture(&cfg, &sc, &collector, &generator).unwrap();
+    let text = ckpt.to_jsonl();
+    check_golden("stage_checkpoint_2bank_seed5.jsonl", &text);
+    let report = crate::staged::run_staged(&cfg).expect("staged run");
+    check_golden("staged_report_2bank_seed5.json", &report.to_json());
+
+    // the committed checkpoint stays loadable and re-renders unchanged
+    let path = format!(
+        "{}/golden/stage_checkpoint_2bank_seed5.jsonl",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let golden = std::fs::read_to_string(path).expect("read committed golden file");
+    let parsed = crate::staged::StageCheckpoint::parse(&golden).expect("golden parses");
+    assert_eq!(parsed.to_jsonl(), golden);
+    parsed.restore(&cfg).expect("golden restores");
 }
 
 #[test]

@@ -347,12 +347,29 @@ fn batched_campaign_matches_scalar_byte_for_byte() {
 fn batched_campaign_reproduces_committed_golden() {
     // the batched engine must reproduce the scalar golden file exactly
     // — the golden is never regenerated for the batched path
-    let (matrix, _) = run_campaign_batched(&CampaignConfig::new(1, 1));
+    let (matrix, stats) = run_campaign_batched(&CampaignConfig::new(1, 1));
     let golden = include_str!("../golden/campaign_1bank_seed1.json");
     assert_eq!(
         matrix.to_json(),
         golden,
         "batched DetectionMatrix drifted from the committed scalar golden"
+    );
+    // the lane bookkeeping of the same run is pinned too
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/golden/batch_stats_1bank_seed1.json"
+    );
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, stats.to_json()).expect("update golden file");
+        return;
+    }
+    let golden = std::fs::read_to_string(path).expect("read committed golden file");
+    assert_eq!(
+        stats.to_json(),
+        golden,
+        "BatchStats JSON drifted from the committed golden \
+         (crates/fault/golden/batch_stats_1bank_seed1.json); if the change is \
+         intentional, regenerate with UPDATE_GOLDEN=1 cargo test -p la1-fault"
     );
 }
 
