@@ -2,9 +2,9 @@
 //! (full model state at a cycle boundary) and [`Trace`] (a replayable
 //! pin-vector recording).
 //!
-//! Both serialize as JSONL through [`crate::json`] — one self-contained
-//! object per line, a header line first and an explicit `end` footer
-//! last, exactly like the verification-farm journal:
+//! Both serialize as JSONL through [`crate::json`]'s shared
+//! [`Framing`] — one self-contained object per line, a header line
+//! first and an explicit `end` footer last:
 //!
 //! ```text
 //! {"kind": "la1-snapshot", "version": 1, "level": "systemc", ...}
@@ -47,12 +47,13 @@ use la1_rtl::{BatchedRtlState, RtlState, LANES};
 
 use crate::asm_model::{AsmSnap, LaAsmModel};
 use crate::cycle_model::{CycleModel, RtlOvlSnap, RtlWithOvl};
-use crate::json::{self, Json};
+use crate::json::{Field, FieldError, Footer, Frame, FrameError, Framing, Json, Record, Sections};
 use crate::rtl_model::{LaRtl, LaRtlBatchDriver, LaRtlDriver, RtlBatchDriverSnap, RtlDriverSnap};
 use crate::sc_model::{LaSystemC, ScBankSnap, ScSnap, ScViolation};
 use crate::spec::{BankOp, LaConfig};
-use crate::stimulus::SequenceItem;
+use crate::stimulus::{DriverSnap, DriverStats, SequenceItem};
 use crate::uml::{ClockRef, ObservedMessage};
+use crate::workloads::RandomMixSnap;
 
 /// Snapshot format version written by this build.
 pub const SNAPSHOT_VERSION: u64 = 1;
@@ -113,6 +114,24 @@ impl fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<FrameError> for CheckpointError {
+    fn from(e: FrameError) -> CheckpointError {
+        match e {
+            FrameError::Truncated => CheckpointError::Truncated,
+            FrameError::Malformed { line, reason } => CheckpointError::Malformed { line, reason },
+            FrameError::VersionMismatch { found, expected } => {
+                CheckpointError::VersionMismatch { found, expected }
+            }
+        }
+    }
+}
+
+impl From<FieldError> for CheckpointError {
+    fn from(e: FieldError) -> CheckpointError {
+        FrameError::from(e).into()
+    }
+}
 
 /// FNV-1a over the level name and the configuration's `Debug`
 /// rendering — any field added to [`LaConfig`] changes the fingerprint
@@ -370,27 +389,14 @@ impl Snapshot {
             }
             LevelSnap::RtlBatch(s) => enc_rtl_batch(s, &mut sections),
         }
-        let header = obj(vec![
-            ("kind", Json::str("la1-snapshot")),
-            ("version", Json::num(SNAPSHOT_VERSION)),
-            ("level", Json::str(self.level())),
-            ("fingerprint", fp_str(self.fingerprint)),
-            ("cycle", Json::num(self.cycle)),
-        ]);
-        let footer = obj(vec![
-            ("end", Json::Bool(true)),
-            ("lines", Json::num(sections.len() as u64)),
-        ]);
-        let mut out = String::new();
-        out.push_str(&header.render());
-        out.push('\n');
-        for s in &sections {
-            out.push_str(&s.render());
-            out.push('\n');
-        }
-        out.push_str(&footer.render());
-        out.push('\n');
-        out
+        SNAPSHOT.write(
+            [
+                ("level", Json::str(self.level())),
+                ("fingerprint", Json::fingerprint(self.fingerprint)),
+                ("cycle", Json::num(self.cycle)),
+            ],
+            &sections,
+        )
     }
 
     /// Parses a snapshot stream, strictly: every line must parse and
@@ -399,74 +405,15 @@ impl Snapshot {
     /// # Errors
     ///
     /// [`CheckpointError::Truncated`] when the stream is cut at any
-    /// byte boundary, [`CheckpointError::VersionMismatch`] /
+    /// byte boundary or declares more sections than it holds,
+    /// [`CheckpointError::VersionMismatch`] /
     /// [`CheckpointError::Malformed`] for wrong-format input. Never
     /// panics.
     pub fn parse(text: &str) -> Result<Snapshot, CheckpointError> {
-        let lines = split_lines(text)?;
-        let header = &lines[0];
-        if header.get("kind").and_then(Json::as_str) != Some("la1-snapshot") {
-            return Err(CheckpointError::Malformed {
-                line: 1,
-                reason: "not an la1-snapshot header".to_string(),
-            });
-        }
-        let version = header
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| CheckpointError::Malformed {
-                line: 1,
-                reason: "missing version".to_string(),
-            })?;
-        if version != SNAPSHOT_VERSION {
-            return Err(CheckpointError::VersionMismatch {
-                found: version,
-                expected: SNAPSHOT_VERSION,
-            });
-        }
-        let fingerprint = header
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .and_then(parse_fp)
-            .ok_or_else(|| CheckpointError::Malformed {
-                line: 1,
-                reason: "missing fingerprint".to_string(),
-            })?;
-        let cycle = header
-            .get("cycle")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| CheckpointError::Malformed {
-                line: 1,
-                reason: "missing cycle".to_string(),
-            })?;
-        let level = header
-            .get("level")
-            .and_then(Json::as_str)
-            .ok_or_else(|| CheckpointError::Malformed {
-                line: 1,
-                reason: "missing level".to_string(),
-            })?
-            .to_string();
-
-        // The footer must close the stream; everything between is the
-        // payload.
-        if lines.len() < 2 {
-            return Err(CheckpointError::Truncated);
-        }
-        let footer = &lines[lines.len() - 1];
-        if footer.get("end").and_then(Json::as_bool) != Some(true) {
-            return Err(CheckpointError::Truncated);
-        }
-        let payload_lines = &lines[1..lines.len() - 1];
-        if footer.get("lines").and_then(Json::as_u64) != Some(payload_lines.len() as u64) {
-            return Err(CheckpointError::Truncated);
-        }
-
-        let mut secs = Sections {
-            items: payload_lines,
-            pos: 0,
-        };
-        let payload = match level.as_str() {
+        let frame = SNAPSHOT.read_strict(text)?;
+        let header = frame.header.record()?;
+        let mut secs = frame.sections();
+        let payload = match header.str("level")? {
             "asm" => LevelSnap::Asm(dec_asm(&mut secs)?),
             "systemc" => LevelSnap::SystemC(dec_sc(&mut secs)?),
             "rtl" => LevelSnap::Rtl(dec_rtl(&mut secs)?),
@@ -475,19 +422,12 @@ impl Snapshot {
                 bench: dec_ovl(&mut secs)?,
             }),
             "rtl-batch" => LevelSnap::RtlBatch(dec_rtl_batch(&mut secs)?),
-            other => {
-                return Err(CheckpointError::Malformed {
-                    line: 1,
-                    reason: format!("unknown level `{other}`"),
-                })
-            }
+            other => return Err(header.unknown("level", other).into()),
         };
-        if secs.pos != payload_lines.len() {
-            return Err(secs.malformed("trailing payload lines".to_string()));
-        }
+        secs.finish()?;
         Ok(Snapshot {
-            fingerprint,
-            cycle,
+            fingerprint: header.fingerprint("fingerprint")?,
+            cycle: header.get("cycle")?,
             payload,
         })
     }
@@ -528,29 +468,15 @@ impl Trace {
     /// Renders the trace as a JSONL stream (trailing newline
     /// included).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let header = obj(vec![
-            ("kind", Json::str("la1-trace")),
-            ("version", Json::num(TRACE_VERSION)),
-            ("fingerprint", fp_str(self.fingerprint)),
-        ]);
-        out.push_str(&header.render());
-        out.push('\n');
-        for ops in &self.cycles {
-            let line = obj(vec![(
-                "ops",
-                Json::Arr(ops.iter().map(enc_op).collect()),
-            )]);
-            out.push_str(&line.render());
-            out.push('\n');
-        }
-        let footer = obj(vec![
-            ("end", Json::Bool(true)),
-            ("cycles", Json::num(self.cycles.len() as u64)),
-        ]);
-        out.push_str(&footer.render());
-        out.push('\n');
-        out
+        let body: Vec<Json> = self
+            .cycles
+            .iter()
+            .map(|ops| Json::obj([("ops", ops.encode())]))
+            .collect();
+        TRACE.write(
+            [("fingerprint", Json::fingerprint(self.fingerprint))],
+            &body,
+        )
     }
 
     /// Parses a trace stream, strictly: the footer must be present and
@@ -562,11 +488,7 @@ impl Trace {
     /// [`CheckpointError::Malformed`] / `VersionMismatch` for
     /// wrong-format input. Never panics.
     pub fn parse(text: &str) -> Result<Trace, CheckpointError> {
-        let (trace, complete) = Trace::load(text, true)?;
-        if !complete {
-            return Err(CheckpointError::Truncated);
-        }
-        Ok(trace)
+        Trace::decode(&TRACE.read_strict(text)?).map(|(trace, _)| trace)
     }
 
     /// Parses a possibly-torn trace stream, salvaging every complete
@@ -576,1180 +498,523 @@ impl Trace {
     /// # Errors
     ///
     /// Still fails when the header itself is torn or wrong — there is
-    /// nothing to salvage without a header.
+    /// nothing to salvage without a header — and on a damaged line that
+    /// more lines follow (damage, not a tear).
     pub fn recover(text: &str) -> Result<(Trace, bool), CheckpointError> {
-        Trace::load(text, false)
+        let mut frame = TRACE.read(text)?;
+        if let Some(e) = frame.corrupt.take() {
+            return Err(e.into());
+        }
+        Trace::decode(&frame)
     }
 
-    fn load(text: &str, strict: bool) -> Result<(Trace, bool), CheckpointError> {
-        // A final line without its newline is torn mid-write: strict
-        // readers refuse, recovery drops it.
-        let torn_tail = !text.ends_with('\n');
-        let mut raw: Vec<&str> = text.split('\n').collect();
-        if raw.last() == Some(&"") {
-            raw.pop();
+    fn decode(frame: &Frame) -> Result<(Trace, bool), CheckpointError> {
+        let mut trace = Trace::new(frame.header.record()?.fingerprint("fingerprint")?);
+        for line in &frame.body {
+            trace.cycles.push(line.record()?.get("ops")?);
         }
-        if torn_tail && !raw.is_empty() {
-            if strict {
-                return Err(CheckpointError::Truncated);
-            }
-            raw.pop();
-        }
-        if raw.is_empty() {
-            return Err(CheckpointError::Truncated);
-        }
-        let header = match json::parse(raw[0]) {
-            Ok(j) => j,
-            Err(_) => {
-                return Err(if raw.len() == 1 {
-                    CheckpointError::Truncated
-                } else {
-                    CheckpointError::Malformed {
-                        line: 1,
-                        reason: "unparseable header".to_string(),
-                    }
-                })
-            }
-        };
-        if header.get("kind").and_then(Json::as_str) != Some("la1-trace") {
-            return Err(CheckpointError::Malformed {
-                line: 1,
-                reason: "not an la1-trace header".to_string(),
-            });
-        }
-        let version = header
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| CheckpointError::Malformed {
-                line: 1,
-                reason: "missing version".to_string(),
-            })?;
-        if version != TRACE_VERSION {
-            return Err(CheckpointError::VersionMismatch {
-                found: version,
-                expected: TRACE_VERSION,
-            });
-        }
-        let fingerprint = header
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .and_then(parse_fp)
-            .ok_or_else(|| CheckpointError::Malformed {
-                line: 1,
-                reason: "missing fingerprint".to_string(),
-            })?;
-
-        let mut trace = Trace::new(fingerprint);
-        let mut complete = false;
-        for (i, line) in raw.iter().enumerate().skip(1) {
-            let last = i + 1 == raw.len();
-            let j = match json::parse(line) {
-                Ok(j) => j,
-                Err(e) => {
-                    if last && !strict {
-                        break; // torn final line: salvage what we have
-                    }
-                    return Err(if last {
-                        CheckpointError::Truncated
-                    } else {
-                        CheckpointError::Malformed {
-                            line: i + 1,
-                            reason: format!("{e:?}"),
-                        }
-                    });
-                }
-            };
-            if j.get("end").and_then(Json::as_bool) == Some(true) {
-                if !last {
-                    return Err(CheckpointError::Malformed {
-                        line: i + 1,
-                        reason: "footer before end of stream".to_string(),
-                    });
-                }
-                complete =
-                    j.get("cycles").and_then(Json::as_u64) == Some(trace.cycles.len() as u64);
-                if strict && !complete {
-                    return Err(CheckpointError::Truncated);
-                }
-                break;
-            }
-            let ops = j
-                .get("ops")
-                .and_then(Json::as_arr)
-                .ok_or(CheckpointError::Malformed {
-                    line: i + 1,
-                    reason: "cycle line without ops".to_string(),
-                })?;
-            let decoded: Result<Vec<BankOp>, String> = ops.iter().map(dec_op).collect();
-            trace
-                .cycles
-                .push(decoded.map_err(|reason| CheckpointError::Malformed {
-                    line: i + 1,
-                    reason,
-                })?);
-        }
-        Ok((trace, complete))
+        Ok((trace, frame.complete))
     }
 }
+
+/// The snapshot stream: header, one line per section, footer counting
+/// the sections.
+const SNAPSHOT: Framing = Framing {
+    kind: "la1-snapshot",
+    version: SNAPSHOT_VERSION,
+    footer: Footer::Body("lines"),
+};
+
+/// The trace stream: header, one line per cycle, footer counting the
+/// cycles.
+const TRACE: Framing = Framing {
+    kind: "la1-trace",
+    version: TRACE_VERSION,
+    footer: Footer::Body("cycles"),
+};
 
 // ---------------------------------------------------------------------
-// line plumbing
+// stimulus records
 
-fn split_lines(text: &str) -> Result<Vec<Json>, CheckpointError> {
-    // Every record ends with a newline (the journal convention); a
-    // final line without one is torn mid-write.
-    if !text.ends_with('\n') {
-        return Err(CheckpointError::Truncated);
-    }
-    let mut raw: Vec<&str> = text.split('\n').collect();
-    if raw.last() == Some(&"") {
-        raw.pop();
-    }
-    if raw.is_empty() {
-        return Err(CheckpointError::Truncated);
-    }
-    let mut out = Vec::with_capacity(raw.len());
-    for (i, line) in raw.iter().enumerate() {
-        match json::parse(line) {
-            Ok(j) => out.push(j),
-            Err(e) => {
-                // A torn final line is truncation, not malformation: a
-                // proper prefix of a rendered object never parses.
-                return Err(if i + 1 == raw.len() {
-                    CheckpointError::Truncated
-                } else {
-                    CheckpointError::Malformed {
-                        line: i + 1,
-                        reason: format!("{e:?}"),
-                    }
-                });
-            }
-        }
-    }
-    Ok(out)
-}
+crate::json_tagged!(BankOp, "op" {
+    Read "r" { bank: "b", addr: "a" },
+    Write "w" { bank: "b", addr: "a", data: "d", byte_en: "be" },
+});
 
-/// Sequential reader over the payload lines (header excluded, so line
-/// numbers in errors are offset by 2: one for the header, one for
-/// 1-basing).
-struct Sections<'a> {
-    items: &'a [Json],
-    pos: usize,
-}
+// The parked driver slots and queued sequencer items a stimulus
+// snapshot carries.
+crate::json_tagged!(SequenceItem, "it" {
+    Read "r" { bank: "b", addr: "a" },
+    Write "w" { bank: "b", addr: "a", data: "d", byte_en: "be" },
+    Burst "burst" { bank: "b", addr: "a" },
+    Idle "idle" {},
+    InjectX "x" {},
+    Raw "raw" (ops),
+});
 
-impl<'a> Sections<'a> {
-    fn malformed(&self, reason: String) -> CheckpointError {
-        CheckpointError::Malformed {
-            line: self.pos + 1, // the line just consumed, 1-based with header
-            reason,
-        }
-    }
-
-    fn next_sec(&mut self, want: &str) -> Result<&'a Json, CheckpointError> {
-        let j = self.items.get(self.pos).ok_or(CheckpointError::Truncated)?;
-        self.pos += 1;
-        match j.get("sec").and_then(Json::as_str) {
-            Some(sec) if sec == want => Ok(j),
-            Some(sec) => Err(self.malformed(format!("expected section `{want}`, found `{sec}`"))),
-            None => Err(self.malformed(format!("expected section `{want}`"))),
-        }
-    }
-
-    /// Wraps a field-level decode error with the current line number.
-    fn field<T>(&self, r: Result<T, String>) -> Result<T, CheckpointError> {
-        r.map_err(|reason| self.malformed(reason))
-    }
-}
-
-// ---------------------------------------------------------------------
-// field helpers
-
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn fp_str(fp: u64) -> Json {
-    Json::str(format!("{fp:016x}"))
-}
-
-fn parse_fp(s: &str) -> Option<u64> {
-    (s.len() == 16).then(|| u64::from_str_radix(s, 16).ok()).flatten()
-}
-
-fn jopt(v: Option<u64>) -> Json {
-    match v {
-        Some(n) => Json::num(n),
-        None => Json::Null,
-    }
-}
-
-fn need<'a>(j: &'a Json, key: &str) -> Result<&'a Json, String> {
-    j.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn f_u64(j: &Json, key: &str) -> Result<u64, String> {
-    need(j, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field `{key}` is not an unsigned integer"))
-}
-
-fn f_u32(j: &Json, key: &str) -> Result<u32, String> {
-    u32::try_from(f_u64(j, key)?).map_err(|_| format!("field `{key}` exceeds u32"))
-}
-
-fn f_i64(j: &Json, key: &str) -> Result<i64, String> {
-    match need(j, key)? {
-        Json::Num(raw) => raw
-            .parse()
-            .map_err(|_| format!("field `{key}` is not an integer")),
-        _ => Err(format!("field `{key}` is not a number")),
-    }
-}
-
-fn f_bool(j: &Json, key: &str) -> Result<bool, String> {
-    need(j, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field `{key}` is not a bool"))
-}
-
-fn f_str(j: &Json, key: &str) -> Result<String, String> {
-    Ok(need(j, key)?
-        .as_str()
-        .ok_or_else(|| format!("field `{key}` is not a string"))?
-        .to_string())
-}
-
-fn f_arr<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    need(j, key)?
-        .as_arr()
-        .ok_or_else(|| format!("field `{key}` is not an array"))
-}
-
-fn f_u64_vec(j: &Json, key: &str) -> Result<Vec<u64>, String> {
-    need(j, key)?
-        .as_u64_vec()
-        .ok_or_else(|| format!("field `{key}` is not an integer array"))
-}
-
-fn f_opt_u64(j: &Json, key: &str) -> Result<Option<u64>, String> {
-    need(j, key)?
-        .as_opt_u64()
-        .ok_or_else(|| format!("field `{key}` is not an integer or null"))
-}
-
-fn f_str_vec(j: &Json, key: &str) -> Result<Vec<String>, String> {
-    f_arr(j, key)?
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("field `{key}` holds a non-string"))
-        })
-        .collect()
-}
-
-fn f_opt_u64_vec(j: &Json, key: &str) -> Result<Vec<Option<u64>>, String> {
-    f_arr(j, key)?
-        .iter()
-        .map(|v| {
-            v.as_opt_u64()
-                .ok_or_else(|| format!("field `{key}` holds a non-integer"))
-        })
-        .collect()
-}
-
-fn u64_vec(j: &Json, what: &str) -> Result<Vec<u64>, String> {
-    j.as_u64_vec()
-        .ok_or_else(|| format!("{what} is not an integer array"))
-}
-
-fn f_u64_vec_vec(j: &Json, key: &str) -> Result<Vec<Vec<u64>>, String> {
-    f_arr(j, key)?.iter().map(|v| u64_vec(v, key)).collect()
-}
-
-fn str_arr<I: IntoIterator<Item = S>, S: Into<String>>(items: I) -> Json {
-    Json::Arr(items.into_iter().map(Json::str).collect())
-}
-
-fn nested_num_arr<'a, I: IntoIterator<Item = &'a Vec<u64>>>(items: I) -> Json {
-    Json::Arr(
-        items
-            .into_iter()
-            .map(|v| Json::num_arr(v.iter().copied()))
-            .collect(),
-    )
-}
-
-// ---------------------------------------------------------------------
-// BankOp
-
-fn enc_op(op: &BankOp) -> Json {
-    match *op {
-        BankOp::Read { bank, addr } => obj(vec![
-            ("op", Json::str("r")),
-            ("b", Json::num(bank as u64)),
-            ("a", Json::num(addr)),
-        ]),
-        BankOp::Write {
-            bank,
-            addr,
-            data,
-            byte_en,
-        } => obj(vec![
-            ("op", Json::str("w")),
-            ("b", Json::num(bank as u64)),
-            ("a", Json::num(addr)),
-            ("d", Json::num(data)),
-            ("be", Json::num(byte_en as u64)),
-        ]),
-    }
-}
-
-fn dec_op(j: &Json) -> Result<BankOp, String> {
-    match need(j, "op")?.as_str() {
-        Some("r") => Ok(BankOp::Read {
-            bank: f_u32(j, "b")?,
-            addr: f_u64(j, "a")?,
-        }),
-        Some("w") => Ok(BankOp::Write {
-            bank: f_u32(j, "b")?,
-            addr: f_u64(j, "a")?,
-            data: f_u64(j, "d")?,
-            byte_en: f_u32(j, "be")?,
-        }),
-        _ => Err("unknown op tag".to_string()),
-    }
-}
-
-/// Encodes one [`BankOp`] in the checkpoint object form — the same
-/// encoding [`Trace`] uses per cycle, exposed so higher layers (the
-/// staged-closure checkpoint in `la1-cover`) serialize operations
-/// identically.
-pub fn op_to_json(op: &BankOp) -> Json {
-    enc_op(op)
-}
-
-/// Inverts [`op_to_json`].
-pub fn op_from_json(j: &Json) -> Result<BankOp, String> {
-    dec_op(j)
-}
-
-/// Encodes one [`SequenceItem`] for checkpoint payloads (the parked
-/// driver slots and queued sequencer items a stimulus snapshot must
-/// carry).
-pub fn item_to_json(item: &SequenceItem) -> Json {
-    match item {
-        SequenceItem::Read { bank, addr } => obj(vec![
-            ("it", Json::str("r")),
-            ("b", Json::num(*bank as u64)),
-            ("a", Json::num(*addr)),
-        ]),
-        SequenceItem::Write {
-            bank,
-            addr,
-            data,
-            byte_en,
-        } => obj(vec![
-            ("it", Json::str("w")),
-            ("b", Json::num(*bank as u64)),
-            ("a", Json::num(*addr)),
-            ("d", Json::num(*data)),
-            ("be", Json::num(*byte_en as u64)),
-        ]),
-        SequenceItem::Burst { bank, addr } => obj(vec![
-            ("it", Json::str("burst")),
-            ("b", Json::num(*bank as u64)),
-            ("a", Json::num(*addr)),
-        ]),
-        SequenceItem::Idle => obj(vec![("it", Json::str("idle"))]),
-        SequenceItem::InjectX => obj(vec![("it", Json::str("x"))]),
-        SequenceItem::Raw(ops) => obj(vec![
-            ("it", Json::str("raw")),
-            ("ops", Json::Arr(ops.iter().map(enc_op).collect())),
-        ]),
-    }
-}
-
-/// Inverts [`item_to_json`].
-pub fn item_from_json(j: &Json) -> Result<SequenceItem, String> {
-    match need(j, "it")?.as_str() {
-        Some("r") => Ok(SequenceItem::Read {
-            bank: f_u32(j, "b")?,
-            addr: f_u64(j, "a")?,
-        }),
-        Some("w") => Ok(SequenceItem::Write {
-            bank: f_u32(j, "b")?,
-            addr: f_u64(j, "a")?,
-            data: f_u64(j, "d")?,
-            byte_en: f_u32(j, "be")?,
-        }),
-        Some("burst") => Ok(SequenceItem::Burst {
-            bank: f_u32(j, "b")?,
-            addr: f_u64(j, "a")?,
-        }),
-        Some("idle") => Ok(SequenceItem::Idle),
-        Some("x") => Ok(SequenceItem::InjectX),
-        Some("raw") => Ok(SequenceItem::Raw(
-            f_arr(j, "ops")?.iter().map(dec_op).collect::<Result<_, _>>()?,
-        )),
-        _ => Err("unknown item tag".to_string()),
-    }
-}
+crate::json_record!(RandomMixSnap { rng, items });
+crate::json_record!(DriverStats {
+    reads_issued: "ri",
+    writes_issued: "wi",
+    idle_cycles: "ic",
+    items_delayed: "dl",
+    raw_cycles: "rc"
+});
+crate::json_record!(DriverSnap {
+    cycle,
+    last_read,
+    rr_next,
+    inject_x,
+    pending,
+    stats
+});
 
 // ---------------------------------------------------------------------
 // ASM payload
 
-fn enc_value(v: &Value) -> Json {
-    match v {
-        Value::Bool(b) => obj(vec![("t", Json::str("b")), ("v", Json::Bool(*b))]),
-        Value::Int(i) => obj(vec![("t", Json::str("i")), ("v", Json::Num(i.to_string()))]),
-        Value::Sym(s) => obj(vec![("t", Json::str("s")), ("v", Json::str(*s))]),
+/// `Value::Sym` holds a `&'static str`; the interner gives a decoded
+/// name the required lifetime.
+impl Field for &'static str {
+    fn encode(&self) -> Json {
+        Json::str(*self)
+    }
+
+    fn decode(j: &Json) -> Result<&'static str, FieldError> {
+        Ok(intern_sym(&String::decode(j)?))
     }
 }
 
-fn dec_value(j: &Json) -> Result<Value, String> {
-    match need(j, "t")?.as_str() {
-        Some("b") => Ok(Value::Bool(f_bool(j, "v")?)),
-        Some("i") => Ok(Value::Int(f_i64(j, "v")?)),
-        // `Value::Sym` holds a `&'static str`; the interner gives the
-        // deserialized name the required lifetime.
-        Some("s") => Ok(Value::Sym(intern_sym(&f_str(j, "v")?))),
-        _ => Err("unknown value tag".to_string()),
-    }
-}
+crate::json_tagged!(Value, "t" {
+    Bool "b" (v),
+    Int "i" (v),
+    Sym "s" (v),
+});
 
 fn enc_asm(s: &AsmSnap, out: &mut Vec<Json>) {
-    out.push(obj(vec![
-        ("sec", Json::str("asm")),
-        ("initialized", Json::Bool(s.initialized)),
-        ("cycles", Json::num(s.cycles)),
-    ]));
-    out.push(obj(vec![
-        ("sec", Json::str("values")),
-        ("vals", Json::Arr(s.values.iter().map(enc_value).collect())),
-    ]));
+    out.push(Json::section(
+        "asm",
+        Json::obj([
+            ("initialized", s.initialized.encode()),
+            ("cycles", s.cycles.encode()),
+        ]),
+    ));
+    out.push(Json::section(
+        "values",
+        Json::obj([("vals", s.values.encode())]),
+    ));
 }
 
 fn dec_asm(secs: &mut Sections<'_>) -> Result<AsmSnap, CheckpointError> {
-    let head = secs.next_sec("asm")?;
-    let initialized = secs.field(f_bool(head, "initialized"))?;
-    let cycles = secs.field(f_u64(head, "cycles"))?;
-    let vals = secs.next_sec("values")?;
-    let values: Result<Vec<Value>, String> =
-        secs.field(f_arr(vals, "vals"))?.iter().map(dec_value).collect();
+    let head = secs.next("asm")?.record()?;
     Ok(AsmSnap {
-        values: secs.field(values)?,
-        initialized,
-        cycles,
+        initialized: head.get("initialized")?,
+        cycles: head.get("cycles")?,
+        values: secs.next("values")?.record()?.get("vals")?,
     })
 }
 
 // ---------------------------------------------------------------------
 // SystemC payload
 
+crate::json_record!(ScBankSnap {
+    rd_req,
+    rd_addr,
+    wr_req,
+    wr_addr,
+    wr_data_lo,
+    wr_data_hi,
+    wr_byte_en,
+    rv1,
+    rv2,
+    dv,
+    out_lo,
+    out_hi,
+    out_par_lo,
+    out_par_hi,
+    perr,
+    wv,
+    wdone,
+    ra1,
+    ra2,
+    word_hold,
+    wa_c,
+    wd_lo_c,
+    wd_hi_c,
+    be_c,
+    hi_err,
+    beat2,
+    beat2_addr,
+    sram
+});
+crate::json_record!(ScViolation { property, cycle });
+crate::json_record!(ObservedMessage {
+    from,
+    to,
+    method,
+    cycle,
+    clock
+});
+
+/// Decodes a fieldless enum written as its name: the one of `all`
+/// whose `name` matches.
+fn by_name<T: Copy>(j: &Json, all: &[T], name: impl Fn(T) -> String) -> Result<T, FieldError> {
+    let found = String::decode(j)?;
+    all.iter()
+        .copied()
+        .find(|&v| name(v) == found)
+        .ok_or_else(|| FieldError::new(format!("unknown name `{found}`")))
+}
+
+impl Field for ClockRef {
+    fn encode(&self) -> Json {
+        Json::str(self.to_string())
+    }
+
+    fn decode(j: &Json) -> Result<ClockRef, FieldError> {
+        by_name(j, &[ClockRef::K, ClockRef::KBar], |c| c.to_string())
+    }
+}
+
 fn enc_sc(s: &ScSnap, out: &mut Vec<Json>) {
     let (t, ts, act, del, upd) = s.kernel;
-    out.push(obj(vec![
-        ("sec", Json::str("sc")),
-        ("k", Json::Bool(s.k)),
-        ("k_bar", Json::Bool(s.k_bar)),
-        ("trace_enabled", Json::Bool(s.trace_enabled)),
-        ("parity_fault", jopt(s.parity_fault.map(u64::from))),
-        ("kernel", Json::num_arr([t, ts, act, del, upd])),
-        ("cycles", Json::num(s.cycles)),
-        ("last_read", jopt(s.last_read)),
-        ("banks", Json::num(s.banks.len() as u64)),
-        ("monitors", Json::num(s.monitors.len() as u64)),
-    ]));
-    for b in &s.banks {
-        out.push(enc_sc_bank(b));
-    }
-    out.push(obj(vec![
-        ("sec", Json::str("trace")),
-        ("msgs", Json::Arr(s.trace.iter().map(enc_msg).collect())),
-    ]));
-    out.push(obj(vec![
-        ("sec", Json::str("sc-violations")),
-        (
-            "items",
-            Json::Arr(
-                s.violations
-                    .iter()
-                    .map(|v| {
-                        obj(vec![
-                            ("property", Json::str(&v.property)),
-                            ("cycle", Json::num(v.cycle)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]));
+    out.push(Json::section(
+        "sc",
+        Json::obj([
+            ("k", s.k.encode()),
+            ("k_bar", s.k_bar.encode()),
+            ("trace_enabled", s.trace_enabled.encode()),
+            ("parity_fault", s.parity_fault.encode()),
+            ("kernel", vec![t, ts, act, del, upd].encode()),
+            ("cycles", s.cycles.encode()),
+            ("last_read", s.last_read.encode()),
+            ("banks", s.banks.len().encode()),
+            ("monitors", s.monitors.len().encode()),
+        ]),
+    ));
+    out.extend(s.banks.iter().map(|b| Json::section("bank", b.encode())));
+    out.push(Json::section(
+        "trace",
+        Json::obj([("msgs", s.trace.encode())]),
+    ));
+    out.push(Json::section(
+        "sc-violations",
+        Json::obj([("items", s.violations.encode())]),
+    ));
     for (name, m) in &s.monitors {
-        out.push(enc_monitor(name, m));
+        let named = Json::obj([("name", name.encode())]).extend(m.encode());
+        out.push(Json::section("monitor", named));
     }
 }
 
 fn dec_sc(secs: &mut Sections<'_>) -> Result<ScSnap, CheckpointError> {
-    let head = secs.next_sec("sc")?;
-    let k = secs.field(f_bool(head, "k"))?;
-    let k_bar = secs.field(f_bool(head, "k_bar"))?;
-    let trace_enabled = secs.field(f_bool(head, "trace_enabled"))?;
-    let parity_fault = match secs.field(f_opt_u64(head, "parity_fault"))? {
-        Some(n) => Some(
-            secs.field(u32::try_from(n).map_err(|_| "parity_fault exceeds u32".to_string()))?,
-        ),
-        None => None,
+    let head = secs.next("sc")?.record()?;
+    let [t, ts, act, del, upd] = head.get::<Vec<u64>>("kernel")?[..] else {
+        return Err(head.error("kernel", "must have 5 counters").into());
     };
-    let kernel_vec = secs.field(f_u64_vec(head, "kernel"))?;
-    if kernel_vec.len() != 5 {
-        return Err(secs.malformed("kernel must have 5 counters".to_string()));
-    }
-    let kernel = (
-        kernel_vec[0],
-        kernel_vec[1],
-        kernel_vec[2],
-        kernel_vec[3],
-        kernel_vec[4],
-    );
-    let cycles = secs.field(f_u64(head, "cycles"))?;
-    let last_read = secs.field(f_opt_u64(head, "last_read"))?;
-    let n_banks = secs.field(f_u64(head, "banks"))? as usize;
-    let n_monitors = secs.field(f_u64(head, "monitors"))? as usize;
-
-    let mut banks = Vec::with_capacity(n_banks);
-    for _ in 0..n_banks {
-        let b = secs.next_sec("bank")?;
-        banks.push(secs.field(dec_sc_bank(b))?);
-    }
-    let tr = secs.next_sec("trace")?;
-    let msgs: Result<Vec<ObservedMessage>, String> =
-        secs.field(f_arr(tr, "msgs"))?.iter().map(dec_msg).collect();
-    let trace = secs.field(msgs)?;
-    let vi = secs.next_sec("sc-violations")?;
-    let items: Result<Vec<ScViolation>, String> = secs
-        .field(f_arr(vi, "items"))?
-        .iter()
-        .map(|v| {
-            Ok(ScViolation {
-                property: f_str(v, "property")?,
-                cycle: f_u64(v, "cycle")?,
-            })
-        })
-        .collect();
-    let violations = secs.field(items)?;
-    let mut monitors = Vec::with_capacity(n_monitors);
-    for _ in 0..n_monitors {
-        let m = secs.next_sec("monitor")?;
-        let name = secs.field(f_str(m, "name"))?;
-        monitors.push((name, secs.field(dec_monitor(m))?));
+    let banks = secs.repeated("bank", head.get("banks")?)?;
+    let trace = secs.next("trace")?.record()?.get("msgs")?;
+    let violations = secs.next("sc-violations")?.record()?.get("items")?;
+    let mut monitors = Vec::new();
+    for _ in 0..head.get::<usize>("monitors")? {
+        let line = secs.next("monitor")?;
+        monitors.push((line.record()?.get("name")?, line.decode()?));
     }
     Ok(ScSnap {
-        k,
-        k_bar,
+        k: head.get("k")?,
+        k_bar: head.get("k_bar")?,
         banks,
         trace,
-        trace_enabled,
-        parity_fault,
-        kernel,
+        trace_enabled: head.get("trace_enabled")?,
+        parity_fault: head.get("parity_fault")?,
+        kernel: (t, ts, act, del, upd),
         monitors,
         violations,
-        cycles,
-        last_read,
-    })
-}
-
-fn enc_sc_bank(b: &ScBankSnap) -> Json {
-    obj(vec![
-        ("sec", Json::str("bank")),
-        ("rd_req", Json::Bool(b.rd_req)),
-        ("rd_addr", Json::num(b.rd_addr)),
-        ("wr_req", Json::Bool(b.wr_req)),
-        ("wr_addr", Json::num(b.wr_addr)),
-        ("wr_data_lo", Json::num(b.wr_data_lo)),
-        ("wr_data_hi", Json::num(b.wr_data_hi)),
-        ("wr_byte_en", Json::num(b.wr_byte_en as u64)),
-        ("rv1", Json::Bool(b.rv1)),
-        ("rv2", Json::Bool(b.rv2)),
-        ("dv", Json::Bool(b.dv)),
-        ("out_lo", Json::num(b.out_lo)),
-        ("out_hi", Json::num(b.out_hi)),
-        ("out_par_lo", Json::num(b.out_par_lo)),
-        ("out_par_hi", Json::num(b.out_par_hi)),
-        ("perr", Json::Bool(b.perr)),
-        ("wv", Json::Bool(b.wv)),
-        ("wdone", Json::Bool(b.wdone)),
-        ("ra1", Json::num(b.ra1)),
-        ("ra2", Json::num(b.ra2)),
-        ("word_hold", Json::num(b.word_hold)),
-        ("wa_c", Json::num(b.wa_c)),
-        ("wd_lo_c", Json::num(b.wd_lo_c)),
-        ("wd_hi_c", Json::num(b.wd_hi_c)),
-        ("be_c", Json::num(b.be_c as u64)),
-        ("hi_err", Json::Bool(b.hi_err)),
-        ("beat2", Json::Bool(b.beat2)),
-        ("beat2_addr", Json::num(b.beat2_addr)),
-        ("sram", Json::num_arr(b.sram.iter().copied())),
-    ])
-}
-
-fn dec_sc_bank(j: &Json) -> Result<ScBankSnap, String> {
-    Ok(ScBankSnap {
-        rd_req: f_bool(j, "rd_req")?,
-        rd_addr: f_u64(j, "rd_addr")?,
-        wr_req: f_bool(j, "wr_req")?,
-        wr_addr: f_u64(j, "wr_addr")?,
-        wr_data_lo: f_u64(j, "wr_data_lo")?,
-        wr_data_hi: f_u64(j, "wr_data_hi")?,
-        wr_byte_en: f_u32(j, "wr_byte_en")?,
-        rv1: f_bool(j, "rv1")?,
-        rv2: f_bool(j, "rv2")?,
-        dv: f_bool(j, "dv")?,
-        out_lo: f_u64(j, "out_lo")?,
-        out_hi: f_u64(j, "out_hi")?,
-        out_par_lo: f_u64(j, "out_par_lo")?,
-        out_par_hi: f_u64(j, "out_par_hi")?,
-        perr: f_bool(j, "perr")?,
-        wv: f_bool(j, "wv")?,
-        wdone: f_bool(j, "wdone")?,
-        ra1: f_u64(j, "ra1")?,
-        ra2: f_u64(j, "ra2")?,
-        word_hold: f_u64(j, "word_hold")?,
-        wa_c: f_u64(j, "wa_c")?,
-        wd_lo_c: f_u64(j, "wd_lo_c")?,
-        wd_hi_c: f_u64(j, "wd_hi_c")?,
-        be_c: f_u32(j, "be_c")?,
-        hi_err: f_bool(j, "hi_err")?,
-        beat2: f_bool(j, "beat2")?,
-        beat2_addr: f_u64(j, "beat2_addr")?,
-        sram: f_u64_vec(j, "sram")?,
-    })
-}
-
-fn enc_msg(m: &ObservedMessage) -> Json {
-    obj(vec![
-        ("from", Json::str(&m.from)),
-        ("to", Json::str(&m.to)),
-        ("method", Json::str(&m.method)),
-        ("cycle", Json::num(m.cycle as u64)),
-        (
-            "clock",
-            Json::str(match m.clock {
-                ClockRef::K => "K",
-                ClockRef::KBar => "K#",
-            }),
-        ),
-    ])
-}
-
-fn dec_msg(j: &Json) -> Result<ObservedMessage, String> {
-    let clock = match need(j, "clock")?.as_str() {
-        Some("K") => ClockRef::K,
-        Some("K#") => ClockRef::KBar,
-        _ => return Err("unknown clock tag".to_string()),
-    };
-    Ok(ObservedMessage {
-        from: f_str(j, "from")?,
-        to: f_str(j, "to")?,
-        method: f_str(j, "method")?,
-        cycle: f_u32(j, "cycle")?,
-        clock,
+        cycles: head.get("cycles")?,
+        last_read: head.get("last_read")?,
     })
 }
 
 // ---------------------------------------------------------------------
 // PSL monitor payload
 
-fn enc_monitor(name: &str, m: &MonitorSnap) -> Json {
-    obj(vec![
-        ("sec", Json::str("monitor")),
-        ("name", Json::str(name)),
-        ("cycle", Json::num(m.cycle)),
-        ("failed_at", jopt(m.failed_at)),
-        ("determined_holds", Json::Bool(m.determined_holds)),
-        ("covered", Json::Bool(m.covered)),
-        ("obs", Json::Arr(m.obs.iter().map(enc_ob).collect())),
-    ])
-}
+crate::json_record!(MonitorSnap {
+    cycle,
+    failed_at,
+    determined_holds,
+    covered,
+    obs
+});
 
-fn dec_monitor(j: &Json) -> Result<MonitorSnap, String> {
-    let obs: Result<Vec<ObSnap>, String> = f_arr(j, "obs")?.iter().map(dec_ob).collect();
-    Ok(MonitorSnap {
-        obs: obs?,
-        cycle: f_u64(j, "cycle")?,
-        failed_at: f_opt_u64(j, "failed_at")?,
-        determined_holds: f_bool(j, "determined_holds")?,
-        covered: f_bool(j, "covered")?,
-    })
-}
-
-fn enc_ob(ob: &ObSnap) -> Json {
-    match ob {
-        ObSnap::Always { body } => obj(vec![
-            ("ob", Json::str("always")),
-            ("body", Json::num(*body as u64)),
-        ]),
-        ObSnap::Never { sere, active } => obj(vec![
-            ("ob", Json::str("never")),
-            ("sere", Json::num(*sere as u64)),
-            ("active", Json::num_arr(active.iter().copied())),
-        ]),
-        ObSnap::Eventually { sere, active } => obj(vec![
-            ("ob", Json::str("eventually")),
-            ("sere", Json::num(*sere as u64)),
-            ("active", Json::num_arr(active.iter().copied())),
-        ]),
-        ObSnap::SereStrong {
-            sere,
-            active,
-            fresh,
-        } => obj(vec![
-            ("ob", Json::str("sere-strong")),
-            ("sere", Json::num(*sere as u64)),
-            ("active", Json::num_arr(active.iter().copied())),
-            ("fresh", Json::Bool(*fresh)),
-        ]),
-        ObSnap::Defer {
-            remaining,
-            strong,
-            body,
-        } => obj(vec![
-            ("ob", Json::str("defer")),
-            ("remaining", Json::num(*remaining as u64)),
-            ("strong", Json::Bool(*strong)),
-            ("body", Json::num(*body as u64)),
-        ]),
-        ObSnap::Until { p, q, strong } => obj(vec![
-            ("ob", Json::str("until")),
-            ("p", Json::num(*p as u64)),
-            ("q", Json::num(*q as u64)),
-            ("strong", Json::Bool(*strong)),
-        ]),
-        ObSnap::Before { p, q, strong } => obj(vec![
-            ("ob", Json::str("before")),
-            ("p", Json::num(*p as u64)),
-            ("q", Json::num(*q as u64)),
-            ("strong", Json::Bool(*strong)),
-        ]),
-        ObSnap::SuffixImpl {
-            pre,
-            active,
-            post,
-            overlap,
-            persistent,
-            fresh,
-        } => obj(vec![
-            ("ob", Json::str("suffix-impl")),
-            ("pre", Json::num(*pre as u64)),
-            ("active", Json::num_arr(active.iter().copied())),
-            ("post", Json::num(*post as u64)),
-            ("overlap", Json::Bool(*overlap)),
-            ("persistent", Json::Bool(*persistent)),
-            ("fresh", Json::Bool(*fresh)),
-        ]),
-    }
-}
-
-fn dec_ob(j: &Json) -> Result<ObSnap, String> {
-    match need(j, "ob")?.as_str() {
-        Some("always") => Ok(ObSnap::Always {
-            body: f_u32(j, "body")?,
-        }),
-        Some("never") => Ok(ObSnap::Never {
-            sere: f_u32(j, "sere")?,
-            active: f_u64_vec(j, "active")?,
-        }),
-        Some("eventually") => Ok(ObSnap::Eventually {
-            sere: f_u32(j, "sere")?,
-            active: f_u64_vec(j, "active")?,
-        }),
-        Some("sere-strong") => Ok(ObSnap::SereStrong {
-            sere: f_u32(j, "sere")?,
-            active: f_u64_vec(j, "active")?,
-            fresh: f_bool(j, "fresh")?,
-        }),
-        Some("defer") => Ok(ObSnap::Defer {
-            remaining: f_u32(j, "remaining")?,
-            strong: f_bool(j, "strong")?,
-            body: f_u32(j, "body")?,
-        }),
-        Some("until") => Ok(ObSnap::Until {
-            p: f_u32(j, "p")?,
-            q: f_u32(j, "q")?,
-            strong: f_bool(j, "strong")?,
-        }),
-        Some("before") => Ok(ObSnap::Before {
-            p: f_u32(j, "p")?,
-            q: f_u32(j, "q")?,
-            strong: f_bool(j, "strong")?,
-        }),
-        Some("suffix-impl") => Ok(ObSnap::SuffixImpl {
-            pre: f_u32(j, "pre")?,
-            active: f_u64_vec(j, "active")?,
-            post: f_u32(j, "post")?,
-            overlap: f_bool(j, "overlap")?,
-            persistent: f_bool(j, "persistent")?,
-            fresh: f_bool(j, "fresh")?,
-        }),
-        _ => Err("unknown obligation tag".to_string()),
-    }
-}
+crate::json_tagged!(ObSnap, "ob" {
+    Always "always" { body },
+    Never "never" { sere, active },
+    Eventually "eventually" { sere, active },
+    SereStrong "sere-strong" { sere, active, fresh },
+    Defer "defer" { remaining, strong, body },
+    Until "until" { p, q, strong },
+    Before "before" { p, q, strong },
+    SuffixImpl "suffix-impl" { pre, active, post, overlap, persistent, fresh },
+});
 
 // ---------------------------------------------------------------------
 // RTL payload
 
+/// Decodes `n` RAM sections of `tag`, each carrying its index.
+fn dec_rams<T>(
+    secs: &mut Sections<'_>,
+    tag: &str,
+    n: usize,
+    decode: impl Fn(&Record<'_>) -> Result<T, FieldError>,
+) -> Result<Vec<T>, CheckpointError> {
+    let mut rams = Vec::new();
+    for i in 0..n {
+        let r = secs.next(tag)?.record()?;
+        if r.get::<usize>("idx")? != i {
+            return Err(r
+                .error("idx", format!("ram sections out of order at index {i}"))
+                .into());
+        }
+        rams.push(decode(&r)?);
+    }
+    Ok(rams)
+}
+
 fn enc_rtl(s: &RtlDriverSnap, out: &mut Vec<Json>) {
-    out.push(obj(vec![
-        ("sec", Json::str("rtl")),
-        ("cycles", Json::num(s.cycles)),
-        ("captured_lo", jopt(s.captured_lo)),
-        (
-            "outputs",
-            Json::Arr(s.outputs.iter().map(|o| jopt(*o)).collect()),
-        ),
-        ("steps", Json::num(s.sim.steps)),
-        ("evals", Json::num(s.sim.evals)),
-        ("prev_clk", Json::str(&s.sim.prev_clk)),
-        ("rams", Json::num(s.sim.rams.len() as u64)),
-    ]));
-    out.push(obj(vec![
-        ("sec", Json::str("rtl-vals")),
-        ("vals", str_arr(s.sim.vals.iter().map(String::as_str))),
-    ]));
+    out.push(Json::section(
+        "rtl",
+        Json::obj([
+            ("cycles", s.cycles.encode()),
+            ("captured_lo", s.captured_lo.encode()),
+            ("outputs", s.outputs.encode()),
+            ("steps", s.sim.steps.encode()),
+            ("evals", s.sim.evals.encode()),
+            ("prev_clk", s.sim.prev_clk.encode()),
+            ("rams", s.sim.rams.len().encode()),
+        ]),
+    ));
+    out.push(Json::section(
+        "rtl-vals",
+        Json::obj([("vals", s.sim.vals.encode())]),
+    ));
     for (i, words) in s.sim.rams.iter().enumerate() {
-        out.push(obj(vec![
-            ("sec", Json::str("rtl-ram")),
-            ("idx", Json::num(i as u64)),
-            ("words", str_arr(words.iter().map(String::as_str))),
-        ]));
+        out.push(Json::section(
+            "rtl-ram",
+            Json::obj([("idx", i.encode()), ("words", words.encode())]),
+        ));
     }
 }
 
 fn dec_rtl(secs: &mut Sections<'_>) -> Result<RtlDriverSnap, CheckpointError> {
-    let head = secs.next_sec("rtl")?;
-    let cycles = secs.field(f_u64(head, "cycles"))?;
-    let captured_lo = secs.field(f_opt_u64(head, "captured_lo"))?;
-    let outputs = secs.field(f_opt_u64_vec(head, "outputs"))?;
-    let steps = secs.field(f_u64(head, "steps"))?;
-    let evals = secs.field(f_u64(head, "evals"))?;
-    let prev_clk = secs.field(f_str(head, "prev_clk"))?;
-    let n_rams = secs.field(f_u64(head, "rams"))? as usize;
-    let vals_line = secs.next_sec("rtl-vals")?;
-    let vals = secs.field(f_str_vec(vals_line, "vals"))?;
-    let mut rams = Vec::with_capacity(n_rams);
-    for i in 0..n_rams {
-        let r = secs.next_sec("rtl-ram")?;
-        if secs.field(f_u64(r, "idx"))? != i as u64 {
-            return Err(secs.malformed(format!("ram sections out of order at index {i}")));
-        }
-        rams.push(secs.field(f_str_vec(r, "words"))?);
-    }
+    let head = secs.next("rtl")?.record()?;
+    let vals = secs.next("rtl-vals")?.record()?.get("vals")?;
+    let rams = dec_rams(secs, "rtl-ram", head.get("rams")?, |r| r.get("words"))?;
     Ok(RtlDriverSnap {
         sim: RtlState {
             vals,
             rams,
-            prev_clk,
-            steps,
-            evals,
+            prev_clk: head.get("prev_clk")?,
+            steps: head.get("steps")?,
+            evals: head.get("evals")?,
         },
-        cycles,
-        captured_lo,
-        outputs,
+        cycles: head.get("cycles")?,
+        captured_lo: head.get("captured_lo")?,
+        outputs: head.get("outputs")?,
     })
 }
 
 // ---------------------------------------------------------------------
 // OVL payload
 
-fn severity_str(s: Severity) -> &'static str {
-    match s {
-        Severity::Note => "note",
-        Severity::Warning => "warning",
-        Severity::Error => "error",
-        Severity::Fatal => "fatal",
+impl Field for Severity {
+    fn encode(&self) -> Json {
+        Json::str(self.to_string())
+    }
+
+    fn decode(j: &Json) -> Result<Severity, FieldError> {
+        use Severity::*;
+        by_name(j, &[Note, Warning, Error, Fatal], |s| s.to_string())
     }
 }
 
-fn severity_from(s: &str) -> Result<Severity, String> {
-    match s {
-        "note" => Ok(Severity::Note),
-        "warning" => Ok(Severity::Warning),
-        "error" => Ok(Severity::Error),
-        "fatal" => Ok(Severity::Fatal),
-        _ => Err(format!("unknown severity `{s}`")),
+impl Field for MonitorKind {
+    fn encode(&self) -> Json {
+        Json::str(self.ovl_name())
+    }
+
+    fn decode(j: &Json) -> Result<MonitorKind, FieldError> {
+        use MonitorKind::*;
+        let all = [
+            Always,
+            Never,
+            Proposition,
+            Implication,
+            Next,
+            CycleSequence,
+            Frame,
+            Change,
+            Unchange,
+            OneHot,
+            ZeroOneHot,
+            Range,
+            Time,
+            EvenParity,
+            Width,
+        ];
+        by_name(j, &all, |k| k.ovl_name().to_string())
     }
 }
 
-fn kind_from(s: &str) -> Result<MonitorKind, String> {
-    const ALL: [MonitorKind; 15] = [
-        MonitorKind::Always,
-        MonitorKind::Never,
-        MonitorKind::Proposition,
-        MonitorKind::Implication,
-        MonitorKind::Next,
-        MonitorKind::CycleSequence,
-        MonitorKind::Frame,
-        MonitorKind::Change,
-        MonitorKind::Unchange,
-        MonitorKind::OneHot,
-        MonitorKind::ZeroOneHot,
-        MonitorKind::Range,
-        MonitorKind::Time,
-        MonitorKind::EvenParity,
-        MonitorKind::Width,
-    ];
-    ALL.into_iter()
-        .find(|k| k.ovl_name() == s)
-        .ok_or_else(|| format!("unknown monitor kind `{s}`"))
-}
-
-fn enc_dyn(d: &OvlDynState) -> Json {
-    match d {
-        OvlDynState::None => obj(vec![("t", Json::str("none"))]),
-        OvlDynState::Counters(v) => obj(vec![
-            ("t", Json::str("counters")),
-            ("v", Json::num_arr(v.iter().map(|&c| c as u64))),
-        ]),
-        OvlDynState::Threads(v) => obj(vec![
-            ("t", Json::str("threads")),
-            ("v", Json::num_arr(v.iter().copied())),
-        ]),
-        OvlDynState::ValueCounters(v) => obj(vec![
-            ("t", Json::str("valctr")),
-            ("v", Json::num_arr(v.iter().map(|&(val, _)| val))),
-            ("c", Json::num_arr(v.iter().map(|&(_, c)| c as u64))),
-        ]),
-        OvlDynState::Pulse(p) => obj(vec![
-            ("t", Json::str("pulse")),
-            ("v", jopt(p.map(u64::from))),
-        ]),
-    }
-}
-
-fn dec_dyn(j: &Json) -> Result<OvlDynState, String> {
-    let to_u32 = |n: u64| u32::try_from(n).map_err(|_| "counter exceeds u32".to_string());
-    match need(j, "t")?.as_str() {
-        Some("none") => Ok(OvlDynState::None),
-        Some("counters") => Ok(OvlDynState::Counters(
-            f_u64_vec(j, "v")?
-                .into_iter()
-                .map(to_u32)
-                .collect::<Result<_, _>>()?,
-        )),
-        Some("threads") => Ok(OvlDynState::Threads(f_u64_vec(j, "v")?)),
-        Some("valctr") => {
-            let vals = f_u64_vec(j, "v")?;
-            let counts = f_u64_vec(j, "c")?;
-            if vals.len() != counts.len() {
-                return Err("valctr arrays differ in length".to_string());
+impl Field for OvlDynState {
+    fn encode(&self) -> Json {
+        let (tag, fields) = match self {
+            OvlDynState::None => ("none", vec![]),
+            OvlDynState::Counters(v) => ("counters", vec![("v", v.encode())]),
+            OvlDynState::Threads(v) => ("threads", vec![("v", v.encode())]),
+            OvlDynState::ValueCounters(v) => {
+                let (vals, counts): (Vec<u64>, Vec<u32>) = v.iter().copied().unzip();
+                ("valctr", vec![("v", vals.encode()), ("c", counts.encode())])
             }
-            vals.into_iter()
-                .zip(counts)
-                .map(|(v, c)| Ok((v, to_u32(c)?)))
-                .collect::<Result<Vec<_>, String>>()
-                .map(OvlDynState::ValueCounters)
+            OvlDynState::Pulse(p) => ("pulse", vec![("v", p.encode())]),
+        };
+        Json::obj([("t", Json::str(tag))]).extend(Json::obj(fields))
+    }
+
+    fn decode(j: &Json) -> Result<OvlDynState, FieldError> {
+        let r = Record::new(j)?;
+        match r.str("t")? {
+            "none" => Ok(OvlDynState::None),
+            "counters" => Ok(OvlDynState::Counters(r.get("v")?)),
+            "threads" => Ok(OvlDynState::Threads(r.get("v")?)),
+            "valctr" => {
+                let vals: Vec<u64> = r.get("v")?;
+                let counts: Vec<u32> = r.get("c")?;
+                if vals.len() != counts.len() {
+                    return Err(r.error("c", "valctr arrays differ in length"));
+                }
+                Ok(OvlDynState::ValueCounters(
+                    vals.into_iter().zip(counts).collect(),
+                ))
+            }
+            "pulse" => Ok(OvlDynState::Pulse(r.get("v")?)),
+            tag => Err(r.unknown("t", tag)),
         }
-        Some("pulse") => Ok(OvlDynState::Pulse(match f_opt_u64(j, "v")? {
-            Some(n) => Some(to_u32(n)?),
-            None => None,
-        })),
-        _ => Err("unknown dyn-state tag".to_string()),
     }
 }
+
+crate::json_record!(OvlInstanceSnap {
+    name,
+    kind,
+    failures,
+    dyn_state: "dyn"
+});
+crate::json_record!(OvlViolation {
+    monitor,
+    kind,
+    cycle,
+    severity,
+    message
+});
 
 fn enc_ovl(s: &OvlSnap, out: &mut Vec<Json>) {
-    out.push(obj(vec![
-        ("sec", Json::str("ovl")),
-        ("cycles", Json::num(s.cycles)),
-        ("fatal", Json::Bool(s.fatal)),
-        ("instances", Json::num(s.instances.len() as u64)),
-    ]));
-    for inst in &s.instances {
-        out.push(obj(vec![
-            ("sec", Json::str("ovl-inst")),
-            ("name", Json::str(&inst.name)),
-            ("kind", Json::str(inst.kind.ovl_name())),
-            ("failures", Json::num(inst.failures)),
-            ("dyn", enc_dyn(&inst.dyn_state)),
-        ]));
-    }
-    out.push(obj(vec![
-        ("sec", Json::str("ovl-violations")),
-        (
-            "items",
-            Json::Arr(
-                s.violations
-                    .iter()
-                    .map(|v| {
-                        obj(vec![
-                            ("monitor", Json::str(&v.monitor)),
-                            ("kind", Json::str(v.kind.ovl_name())),
-                            ("cycle", Json::num(v.cycle)),
-                            ("severity", Json::str(severity_str(v.severity))),
-                            ("message", Json::str(&v.message)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]));
+    out.push(Json::section(
+        "ovl",
+        Json::obj([
+            ("cycles", s.cycles.encode()),
+            ("fatal", s.fatal.encode()),
+            ("instances", s.instances.len().encode()),
+        ]),
+    ));
+    out.extend(
+        s.instances
+            .iter()
+            .map(|i| Json::section("ovl-inst", i.encode())),
+    );
+    out.push(Json::section(
+        "ovl-violations",
+        Json::obj([("items", s.violations.encode())]),
+    ));
 }
 
 fn dec_ovl(secs: &mut Sections<'_>) -> Result<OvlSnap, CheckpointError> {
-    let head = secs.next_sec("ovl")?;
-    let cycles = secs.field(f_u64(head, "cycles"))?;
-    let fatal = secs.field(f_bool(head, "fatal"))?;
-    let n = secs.field(f_u64(head, "instances"))? as usize;
-    let mut instances = Vec::with_capacity(n);
-    for _ in 0..n {
-        let i = secs.next_sec("ovl-inst")?;
-        let name = secs.field(f_str(i, "name"))?;
-        let kind = secs.field(kind_from(&secs.field(f_str(i, "kind"))?))?;
-        let failures = secs.field(f_u64(i, "failures"))?;
-        let dyn_state = secs.field(need(i, "dyn").and_then(dec_dyn))?;
-        instances.push(OvlInstanceSnap {
-            name,
-            kind,
-            failures,
-            dyn_state,
-        });
-    }
-    let vi = secs.next_sec("ovl-violations")?;
-    let items: Result<Vec<OvlViolation>, String> = secs
-        .field(f_arr(vi, "items"))?
-        .iter()
-        .map(|v| {
-            Ok(OvlViolation {
-                monitor: f_str(v, "monitor")?,
-                kind: kind_from(&f_str(v, "kind")?)?,
-                cycle: f_u64(v, "cycle")?,
-                severity: severity_from(&f_str(v, "severity")?)?,
-                message: f_str(v, "message")?,
-            })
-        })
-        .collect();
+    let head = secs.next("ovl")?.record()?;
     Ok(OvlSnap {
-        instances,
-        violations: secs.field(items)?,
-        cycles,
-        fatal,
+        instances: secs.repeated("ovl-inst", head.get("instances")?)?,
+        violations: secs.next("ovl-violations")?.record()?.get("items")?,
+        cycles: head.get("cycles")?,
+        fatal: head.get("fatal")?,
     })
 }
 
 // ---------------------------------------------------------------------
 // batched RTL payload
 
-fn enc_planes<'a, I: IntoIterator<Item = &'a (Vec<u64>, Vec<u64>)> + Clone>(
-    items: I,
-) -> (Json, Json) {
-    let a = nested_num_arr(items.clone().into_iter().map(|(a, _)| a));
-    let b = nested_num_arr(items.into_iter().map(|(_, b)| b));
-    (a, b)
-}
-
 /// A list of (value, x) packed plane pairs, one per batched state word.
 type PlanePairs = Vec<(Vec<u64>, Vec<u64>)>;
 
-fn dec_planes(j: &Json, ka: &str, kb: &str) -> Result<PlanePairs, String> {
-    let a = f_u64_vec_vec(j, ka)?;
-    let b = f_u64_vec_vec(j, kb)?;
+/// The `a`/`b` plane arrays of a batched section.
+fn enc_planes(pairs: &PlanePairs) -> Json {
+    let (a, b): (Vec<Vec<u64>>, Vec<Vec<u64>>) = pairs.iter().cloned().unzip();
+    Json::obj([("a", a.encode()), ("b", b.encode())])
+}
+
+fn dec_planes(r: &Record<'_>) -> Result<PlanePairs, FieldError> {
+    let a: Vec<Vec<u64>> = r.get("a")?;
+    let b: Vec<Vec<u64>> = r.get("b")?;
     if a.len() != b.len() {
-        return Err(format!("plane arrays `{ka}`/`{kb}` differ in length"));
+        return Err(r.error("b", "plane arrays `a`/`b` differ in length"));
     }
     Ok(a.into_iter().zip(b).collect())
 }
 
 fn enc_rtl_batch(s: &RtlBatchDriverSnap, out: &mut Vec<Json>) {
-    out.push(obj(vec![
-        ("sec", Json::str("rtl-batch")),
-        ("cycles", Json::num(s.cycles)),
-        (
-            "captured_lo",
-            Json::Arr(s.captured_lo.iter().map(|o| jopt(*o)).collect()),
-        ),
-        ("steps", Json::num(s.sim.steps)),
-        ("evals", Json::num(s.sim.evals)),
-        ("prev_clk", Json::str(&s.sim.prev_clk)),
-        ("rams", Json::num(s.sim.rams.len() as u64)),
-    ]));
-    out.push(obj(vec![
-        ("sec", Json::str("batch-outputs")),
-        (
-            "lanes",
-            Json::Arr(
-                s.outputs
-                    .iter()
-                    .map(|lane| Json::Arr(lane.iter().map(|o| jopt(*o)).collect()))
-                    .collect(),
-            ),
-        ),
-    ]));
-    let (a, b) = enc_planes(s.sim.vals.iter());
-    out.push(obj(vec![
-        ("sec", Json::str("batch-vals")),
-        ("a", a),
-        ("b", b),
-    ]));
+    out.push(Json::section(
+        "rtl-batch",
+        Json::obj([
+            ("cycles", s.cycles.encode()),
+            ("captured_lo", s.captured_lo.encode()),
+            ("steps", s.sim.steps.encode()),
+            ("evals", s.sim.evals.encode()),
+            ("prev_clk", s.sim.prev_clk.encode()),
+            ("rams", s.sim.rams.len().encode()),
+        ]),
+    ));
+    out.push(Json::section(
+        "batch-outputs",
+        Json::obj([("lanes", s.outputs.encode())]),
+    ));
+    out.push(Json::section("batch-vals", enc_planes(&s.sim.vals)));
     for (i, words) in s.sim.rams.iter().enumerate() {
-        let (a, b) = enc_planes(words.iter());
-        out.push(obj(vec![
-            ("sec", Json::str("batch-ram")),
-            ("idx", Json::num(i as u64)),
-            ("a", a),
-            ("b", b),
-        ]));
+        let idx = Json::obj([("idx", i.encode())]);
+        out.push(Json::section("batch-ram", idx.extend(enc_planes(words))));
     }
 }
 
 fn dec_rtl_batch(secs: &mut Sections<'_>) -> Result<RtlBatchDriverSnap, CheckpointError> {
-    let head = secs.next_sec("rtl-batch")?;
-    let cycles = secs.field(f_u64(head, "cycles"))?;
-    let captured_lo = secs.field(f_opt_u64_vec(head, "captured_lo"))?;
+    let head = secs.next("rtl-batch")?.record()?;
+    let captured_lo: Vec<Option<u64>> = head.get("captured_lo")?;
     if captured_lo.len() != LANES {
-        return Err(secs.malformed(format!("captured_lo must have {LANES} lanes")));
+        return Err(head
+            .error("captured_lo", format!("must have {LANES} lanes"))
+            .into());
     }
-    let steps = secs.field(f_u64(head, "steps"))?;
-    let evals = secs.field(f_u64(head, "evals"))?;
-    let prev_clk = secs.field(f_str(head, "prev_clk"))?;
-    let n_rams = secs.field(f_u64(head, "rams"))? as usize;
-    let outs = secs.next_sec("batch-outputs")?;
-    let lanes = secs.field(f_arr(outs, "lanes"))?;
-    if lanes.len() != LANES {
-        return Err(secs.malformed(format!("outputs must have {LANES} lanes")));
+    let outs = secs.next("batch-outputs")?.record()?;
+    let outputs: Vec<Vec<Option<u64>>> = outs.get("lanes")?;
+    if outputs.len() != LANES {
+        return Err(outs
+            .error("lanes", format!("outputs must have {LANES} lanes"))
+            .into());
     }
-    let outputs: Result<Vec<Vec<Option<u64>>>, String> = lanes
-        .iter()
-        .map(|lane| {
-            lane.as_arr()
-                .ok_or_else(|| "lane outputs must be an array".to_string())?
-                .iter()
-                .map(|o| {
-                    o.as_opt_u64()
-                        .ok_or_else(|| "lane output must be integer or null".to_string())
-                })
-                .collect()
-        })
-        .collect();
-    let outputs = secs.field(outputs)?;
-    let vals_line = secs.next_sec("batch-vals")?;
-    let vals = secs.field(dec_planes(vals_line, "a", "b"))?;
-    let mut rams = Vec::with_capacity(n_rams);
-    for i in 0..n_rams {
-        let r = secs.next_sec("batch-ram")?;
-        if secs.field(f_u64(r, "idx"))? != i as u64 {
-            return Err(secs.malformed(format!("ram sections out of order at index {i}")));
-        }
-        rams.push(secs.field(dec_planes(r, "a", "b"))?);
-    }
+    let vals = dec_planes(&secs.next("batch-vals")?.record()?)?;
+    let rams = dec_rams(secs, "batch-ram", head.get("rams")?, dec_planes)?;
     Ok(RtlBatchDriverSnap {
         sim: BatchedRtlState {
             vals,
             rams,
-            prev_clk,
-            steps,
-            evals,
+            prev_clk: head.get("prev_clk")?,
+            steps: head.get("steps")?,
+            evals: head.get("evals")?,
         },
-        cycles,
+        cycles: head.get("cycles")?,
         captured_lo,
         outputs,
     })

@@ -1862,6 +1862,27 @@ mod checkpoint_tests {
     }
 
     #[test]
+    fn declared_section_counts_are_never_preallocated() {
+        // one-number edits to committed goldens: a huge declared count
+        // must run out of lines (a typed error), never abort on the
+        // allocation or panic on capacity overflow
+        let sc = include_str!("../golden/snapshot_systemc_2bank_seed41.jsonl");
+        let edited = sc.replacen("\"banks\": 2,", "\"banks\": 100000000000000,", 1);
+        assert_ne!(edited, sc);
+        assert!(matches!(
+            Snapshot::parse(&edited),
+            Err(CheckpointError::Truncated | CheckpointError::Malformed { .. })
+        ));
+        let rtl = include_str!("../golden/snapshot_rtl_2bank_seed41.jsonl");
+        let edited = rtl.replacen("\"rams\": 39", "\"rams\": 18446744073709551615", 1);
+        assert_ne!(edited, rtl);
+        assert!(matches!(
+            Snapshot::parse(&edited),
+            Err(CheckpointError::Truncated | CheckpointError::Malformed { .. })
+        ));
+    }
+
+    #[test]
     fn committed_golden_snapshots_still_restore() {
         // loadability, not just byte identity: each committed golden
         // must parse and restore into a live model of its level

@@ -14,6 +14,7 @@ use crate::collect::CoverageCollector;
 use crate::guided::GuidedMix;
 use crate::model::{CoverBin, CoverageModel};
 use la1_core::harness::run_abv_observed;
+use la1_core::json::{Field, Report};
 use la1_core::sc_model::LaSystemC;
 use la1_core::spec::{BankOp, LaConfig};
 use la1_core::stimulus::{Driver, DriverSnap};
@@ -95,29 +96,25 @@ impl ClosureReport {
 
     /// Renders the deterministic JSON report.
     pub fn to_json(&self) -> String {
-        let ctc = la1_core::json::opt_u64(self.cycles_to_closure);
-        let unhit = la1_core::json::str_array_body(&self.unhit);
-        format!(
-            "{{\n  \"banks\": {},\n  \"burst\": {},\n  \"guided\": {},\n  \"seed\": {},\n  \
-             \"budget\": {},\n  \"cycles_run\": {},\n  \"bins_total\": {},\n  \
-             \"bins_hit\": {},\n  \"tier1_total\": {},\n  \"tier1_hit\": {},\n  \
-             \"closed\": {},\n  \"cycles_to_closure\": {},\n  \"unhit\": [{}]\n}}\n",
-            self.banks,
-            self.burst,
-            self.guided,
-            self.seed,
-            self.budget,
-            self.cycles_run,
-            self.bins_total,
-            self.bins_hit,
-            self.tier1_total,
-            self.tier1_hit,
-            self.closed,
-            ctc,
-            unhit
-        )
+        Report::new().fields(self.encode()).render()
     }
 }
+
+la1_core::json_record!(ClosureReport {
+    banks,
+    burst,
+    guided,
+    seed,
+    budget,
+    cycles_run,
+    bins_total,
+    bins_hit,
+    tier1_total,
+    tier1_hit,
+    closed,
+    cycles_to_closure,
+    unhit
+});
 
 /// The two sequencer flavours a closure stream drives, each behind
 /// its own single-master [`Driver`] (the transaction-level agent of

@@ -12,6 +12,7 @@
 
 use crate::model::{BinKind, BinStat, BinStats, CoverBin, CoverageModel};
 use la1_core::cycle_model::{CycleModel, CycleObserver};
+use la1_core::json::{Field, Json, Report};
 use la1_core::spec::{BankOp, READ_LATENCY};
 
 /// What one bank showed in one cycle: the driven operations and the
@@ -460,24 +461,20 @@ impl CoverageCollector {
 
     /// Renders the deterministic JSON coverage report.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"cycles\": {},\n", self.cycle));
-        out.push_str(&format!("  \"bins_total\": {},\n", self.model.len()));
-        out.push_str(&format!("  \"bins_hit\": {},\n", self.covered()));
-        out.push_str("  \"bins\": [\n");
-        let n = self.model.len();
-        for (i, bin) in self.model.bins().iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"tier\": {}, \"hits\": {}, \"first_hit\": {}}}{}\n",
-                bin.name(),
-                bin.tier(),
-                self.hits[i],
-                la1_core::json::opt_u64(self.first_hit[i]),
-                if i + 1 < n { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let rows = self.model.bins().iter().enumerate().map(|(i, bin)| {
+            let stat = BinStat {
+                tier: bin.tier(),
+                hits: self.hits[i],
+                first_hit: self.first_hit[i],
+            };
+            Json::obj([("name", Json::str(bin.name()))]).extend(stat.encode())
+        });
+        Report::new()
+            .field("cycles", &self.cycle)
+            .field("bins_total", &self.model.len())
+            .field("bins_hit", &self.covered())
+            .rows("bins", rows)
+            .render()
     }
 }
 

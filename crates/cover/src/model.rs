@@ -197,6 +197,12 @@ pub struct BinStat {
 /// and [`CoverageModel::merge_bins`] folds them.
 pub type BinStats = BTreeMap<String, BinStat>;
 
+la1_core::json_record!(BinStat {
+    tier,
+    hits,
+    first_hit
+});
+
 /// The coverage model for one interface configuration: a fixed,
 /// deterministically ordered bin list plus the protocol parameters the
 /// bin predicates need.

@@ -29,6 +29,7 @@ use crate::model::{BinStats, CoverBin, CoverageModel};
 use la1_core::checkpoint::{config_fingerprint, CheckpointError, Snapshot, Trace};
 use la1_core::cycle_model::BatchLaneModel;
 use la1_core::cycle_model::CycleObserver;
+use la1_core::json::{Field, Report};
 use la1_core::rtl_model::{LaRtl, LaRtlBatchDriver, LaRtlDriver};
 use la1_core::spec::{BankOp, LaConfig};
 use la1_core::stimulus::stream_seed;
@@ -206,34 +207,33 @@ impl MultiClosureReport {
         }
     }
 
-    /// Renders the deterministic JSON report.
+    /// Renders the deterministic JSON report: every field but the
+    /// mergeable `bins`.
     pub fn to_json(&self) -> String {
-        let ctc = la1_core::json::opt_u64(self.cycles_to_closure);
-        let unhit = la1_core::json::str_array_body(&self.unhit);
-        format!(
-            "{{\n  \"banks\": {},\n  \"burst\": {},\n  \"guided\": {},\n  \"seed\": {},\n  \
-             \"streams\": {},\n  \"budget\": {},\n  \"cycles_run\": {},\n  \
-             \"lane_cycles\": {},\n  \"bins_total\": {},\n  \"bins_hit\": {},\n  \
-             \"tier1_total\": {},\n  \"tier1_hit\": {},\n  \"closed\": {},\n  \
-             \"cycles_to_closure\": {},\n  \"unhit\": [{}]\n}}\n",
-            self.banks,
-            self.burst,
-            self.guided,
-            self.seed,
-            self.streams,
-            self.budget,
-            self.cycles_run,
-            self.lane_cycles,
-            self.bins_total,
-            self.bins_hit,
-            self.tier1_total,
-            self.tier1_hit,
-            self.closed,
-            ctc,
-            unhit
-        )
+        Report::new().fields(self.encode().without("bins")).render()
     }
 }
+
+// Full fidelity, for the farm journal: the report fields, then the
+// bins as `{"name", "tier", "hits", "first_hit"}` rows.
+la1_core::json_record!(MultiClosureReport {
+    banks,
+    burst,
+    guided,
+    seed,
+    streams,
+    budget,
+    cycles_run,
+    lane_cycles,
+    bins_total,
+    bins_hit,
+    tier1_total,
+    tier1_hit,
+    closed,
+    cycles_to_closure,
+    unhit,
+    bins
+});
 
 /// One stream's generator and its private coverage collector.
 struct Stream {

@@ -28,13 +28,12 @@ use crate::closure::{ClosureConfig, Generator, GeneratorSnap};
 use crate::collect::{BankSampleSnap, CollectorSnap, CoverageCollector};
 use crate::guided::GuidedMixSnap;
 use crate::model::CoverageModel;
-use la1_core::checkpoint::{item_from_json, item_to_json, op_from_json, op_to_json, CheckpointError, Snapshot};
+use la1_core::checkpoint::{CheckpointError, Snapshot};
 use la1_core::harness::run_abv_observed;
-use la1_core::json::{self, Json};
+use la1_core::json::{Field, FieldError, Footer, Framing, Json, Record, Report};
 use la1_core::sc_model::LaSystemC;
 use la1_core::spec::LaConfig;
-use la1_core::stimulus::{stream_seed, DriverSnap, DriverStats};
-use la1_core::workloads::RandomMixSnap;
+use la1_core::stimulus::{stream_seed, DriverSnap};
 
 /// Stage-checkpoint format version written by this build.
 pub const STAGE_VERSION: u64 = 1;
@@ -154,88 +153,45 @@ impl StageCheckpoint {
     /// Serializes the checkpoint as JSONL: a header line, one line per
     /// section, an `end` footer, every line newline-terminated.
     pub fn to_jsonl(&self) -> String {
-        let mut lines = Vec::new();
-        lines.push(format!(
-            "{{\"kind\": \"la1-stage\", \"version\": {STAGE_VERSION}, \
-             \"fingerprint\": \"{:016x}\", \"cycle\": {}}}",
-            self.fingerprint, self.cycle
-        ));
-        lines.push(
-            obj(vec![
-                ("sec", Json::str("model")),
-                ("jsonl", Json::str(self.model.to_jsonl())),
-            ])
-            .render(),
-        );
-        lines.push(enc_collector(&self.collector).render());
-        lines.push(enc_driver(&self.driver).render());
-        lines.push(enc_generator(&self.generator).render());
-        lines.push(format!("{{\"end\": true, \"lines\": {}}}", lines.len() + 1));
-        let mut out = lines.join("\n");
-        out.push('\n');
-        out
+        STAGE.write(
+            [
+                ("fingerprint", Json::fingerprint(self.fingerprint)),
+                ("cycle", Json::num(self.cycle)),
+            ],
+            &[
+                Json::section(
+                    "model",
+                    Json::obj([("jsonl", Json::str(self.model.to_jsonl()))]),
+                ),
+                Json::section("collector", self.collector.encode()),
+                Json::section("driver", self.driver.encode()),
+                Json::section("gen", self.generator.encode()),
+            ],
+        )
     }
 
     /// Strict parser for [`StageCheckpoint::to_jsonl`] output. A file
     /// cut at any byte boundary yields [`CheckpointError::Truncated`]
-    /// (torn trailing line or missing footer); a damaged middle line
-    /// yields [`CheckpointError::Malformed`] naming it.
+    /// (torn trailing line or missing footer); a damaged line yields
+    /// [`CheckpointError::Malformed`] naming it.
     pub fn parse(text: &str) -> Result<StageCheckpoint, CheckpointError> {
-        if text.is_empty() || !text.ends_with('\n') {
-            return Err(CheckpointError::Truncated);
-        }
-        let lines: Vec<&str> = text.lines().collect();
-        const TOTAL: usize = 6;
-        if lines.len() > TOTAL {
-            return Err(mal(TOTAL + 1, "unexpected line after footer"));
-        }
-        let mut parsed = Vec::with_capacity(lines.len());
-        for (i, l) in lines.iter().enumerate() {
-            parsed.push(json::parse(l).map_err(|e| mal(i + 1, format!("{e:?}")))?);
-        }
-        // every present line is intact; fewer than expected means the
-        // file was cut at a line boundary
-        if parsed.len() < TOTAL {
-            return Err(CheckpointError::Truncated);
-        }
-        let header = &parsed[0];
-        if header.get("kind").and_then(Json::as_str) != Some("la1-stage") {
-            return Err(mal(1, "not a la1-stage header"));
-        }
-        let version = header
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| mal(1, "missing version"))?;
-        if version != STAGE_VERSION {
-            return Err(CheckpointError::VersionMismatch {
-                found: version,
-                expected: STAGE_VERSION,
-            });
-        }
-        let fingerprint = parse_fp(header.get("fingerprint").and_then(Json::as_str))
-            .ok_or_else(|| mal(1, "bad fingerprint"))?;
-        let cycle = header
-            .get("cycle")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| mal(1, "missing cycle"))?;
-        let model_line = sec(&parsed[1], 2, "model")?;
-        let model_text = model_line
-            .get("jsonl")
-            .and_then(Json::as_str)
-            .ok_or_else(|| mal(2, "missing embedded model"))?;
-        let model = Snapshot::parse(model_text).map_err(|e| mal(2, format!("embedded model: {e}")))?;
-        let collector = dec_collector(sec(&parsed[2], 3, "collector")?, 3)?;
-        let driver = dec_driver(sec(&parsed[3], 4, "driver")?, 4)?;
-        let generator = dec_generator(sec(&parsed[4], 5, "gen")?, 5)?;
-        let footer = &parsed[5];
-        if footer.get("end").and_then(Json::as_bool) != Some(true)
-            || footer.get("lines").and_then(Json::as_u64) != Some(TOTAL as u64)
-        {
-            return Err(mal(TOTAL, "bad footer"));
-        }
+        let frame = STAGE.read_strict(text)?;
+        let header = frame.header.record()?;
+        let mut secs = frame.sections();
+        let model_line = secs.next("model")?;
+        let model = Snapshot::parse(model_line.record()?.str("jsonl")?).map_err(|e| {
+            CheckpointError::Malformed {
+                line: model_line.no,
+                reason: format!("embedded model: {e}"),
+            }
+        })?;
+        let collector = secs.next("collector")?.decode()?;
+        let driver = secs.next("driver")?.decode()?;
+        let generator = secs.next("gen")?.decode()?;
+        secs.finish()?;
         Ok(StageCheckpoint {
-            fingerprint,
-            cycle,
+            fingerprint: header.fingerprint("fingerprint")?,
+            cycle: header.get("cycle")?,
             model,
             collector,
             driver,
@@ -307,37 +263,15 @@ impl StagedReport {
 
     /// Renders the deterministic JSON report.
     pub fn to_json(&self) -> String {
-        let streams = self
-            .streams
-            .iter()
-            .map(|s| {
-                format!(
-                    "    {{\"stream\": {}, \"seed\": {}, \"reseeded\": {}, \
-                     \"cycles_run\": {}, \"bins_hit\": {}, \"new_hits\": {}, \"closed\": {}}}",
-                    s.stream, s.seed, s.reseeded, s.cycles_run, s.bins_hit, s.new_hits, s.closed
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"kind\": \"staged-closure\",\n  \"banks\": {},\n  \"burst\": {},\n  \
-             \"guided\": {},\n  \"seed\": {},\n  \"stage1_budget\": {},\n  \
-             \"stage1_cycles\": {},\n  \"stage1_bins_hit\": {},\n  \"bins_total\": {},\n  \
-             \"checkpoint_bytes\": {},\n  \"bins_hit\": {},\n  \"closed\": {},\n  \
-             \"unhit\": [{}],\n  \"streams\": [\n{streams}\n  ]\n}}\n",
-            self.banks,
-            self.burst,
-            self.guided,
-            self.seed,
-            self.stage1_budget,
-            self.stage1_cycles,
-            self.stage1_bins_hit,
-            self.bins_total,
-            self.checkpoint_bytes,
-            self.bins_hit,
-            self.closed,
-            la1_core::json::str_array_body(&self.unhit)
-        )
+        let fields = la1_core::json_fields!(self, {
+            banks, burst, guided, seed, stage1_budget, stage1_cycles, stage1_bins_hit, bins_total,
+            checkpoint_bytes, bins_hit, closed, unhit
+        });
+        Report::new()
+            .field("kind", &Json::str("staged-closure"))
+            .fields(fields)
+            .rows("streams", self.streams.iter().map(Field::encode))
+            .render()
     }
 }
 
@@ -436,267 +370,54 @@ pub fn run_staged(cfg: &StagedConfig) -> Result<StagedReport, CheckpointError> {
 // ---------------------------------------------------------------------
 // section codecs
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
+/// The stage-checkpoint stream: header, the four sections, and a footer
+/// counting every line.
+const STAGE: Framing = Framing {
+    kind: "la1-stage",
+    version: STAGE_VERSION,
+    footer: Footer::Total("lines"),
+};
 
-fn mal(line: usize, reason: impl Into<String>) -> CheckpointError {
-    CheckpointError::Malformed {
-        line,
-        reason: reason.into(),
+la1_core::json_record!(BankSampleSnap {
+    read: "r",
+    write: "w",
+    dv,
+    wdone: "wd",
+    perr: "pe"
+});
+la1_core::json_record!(CollectorSnap {
+    cycle,
+    hits,
+    first_hit,
+    history
+});
+la1_core::json_record!(StreamOutcome {
+    stream,
+    seed,
+    reseeded,
+    cycles_run,
+    bins_hit,
+    new_hits,
+    closed
+});
+
+la1_core::json_record!(GuidedMixSnap { rng, plan, items });
+
+impl Field for GeneratorSnap {
+    fn encode(&self) -> Json {
+        let (tag, body) = match self {
+            GeneratorSnap::Guided(s) => ("guided", s.encode()),
+            GeneratorSnap::Random(s) => ("random", s.encode()),
+        };
+        Json::obj([("t", Json::str(tag))]).extend(body)
     }
-}
 
-fn parse_fp(s: Option<&str>) -> Option<u64> {
-    let s = s?;
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok()
-}
-
-fn sec<'a>(j: &'a Json, line: usize, want: &str) -> Result<&'a Json, CheckpointError> {
-    if j.get("sec").and_then(Json::as_str) == Some(want) {
-        Ok(j)
-    } else {
-        Err(mal(line, format!("expected section {want:?}")))
-    }
-}
-
-fn f_u64(j: &Json, key: &str, line: usize) -> Result<u64, CheckpointError> {
-    j.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| mal(line, format!("missing field {key:?}")))
-}
-
-fn f_bool(j: &Json, key: &str, line: usize) -> Result<bool, CheckpointError> {
-    j.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| mal(line, format!("missing field {key:?}")))
-}
-
-fn f_arr<'a>(j: &'a Json, key: &str, line: usize) -> Result<&'a [Json], CheckpointError> {
-    j.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| mal(line, format!("missing field {key:?}")))
-}
-
-fn f_opt_u64(j: &Json, key: &str, line: usize) -> Result<Option<u64>, CheckpointError> {
-    j.get(key)
-        .and_then(Json::as_opt_u64)
-        .ok_or_else(|| mal(line, format!("missing field {key:?}")))
-}
-
-fn jopt(v: Option<u64>) -> Json {
-    match v {
-        Some(n) => Json::num(n),
-        None => Json::Null,
-    }
-}
-
-fn enc_collector(c: &CollectorSnap) -> Json {
-    obj(vec![
-        ("sec", Json::str("collector")),
-        ("cycle", Json::num(c.cycle)),
-        ("hits", Json::num_arr(c.hits.iter().copied())),
-        (
-            "first_hit",
-            Json::Arr(c.first_hit.iter().map(|f| jopt(*f)).collect()),
-        ),
-        (
-            "history",
-            Json::Arr(
-                c.history
-                    .iter()
-                    .map(|banks| {
-                        Json::Arr(
-                            banks
-                                .iter()
-                                .map(|b| {
-                                    obj(vec![
-                                        ("r", jopt(b.read)),
-                                        (
-                                            "w",
-                                            match b.write {
-                                                Some((a, be)) => Json::Arr(vec![
-                                                    Json::num(a),
-                                                    Json::num(be as u64),
-                                                ]),
-                                                None => Json::Null,
-                                            },
-                                        ),
-                                        ("dv", jopt(b.dv)),
-                                        ("wd", Json::Bool(b.wdone)),
-                                        ("pe", Json::Bool(b.perr)),
-                                    ])
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn dec_collector(j: &Json, line: usize) -> Result<CollectorSnap, CheckpointError> {
-    let mut history = Vec::new();
-    for cyc in f_arr(j, "history", line)? {
-        let banks = cyc
-            .as_arr()
-            .ok_or_else(|| mal(line, "history entry is not an array"))?;
-        let mut row = Vec::with_capacity(banks.len());
-        for b in banks {
-            let write = match b.get("w").ok_or_else(|| mal(line, "missing sample write"))? {
-                Json::Null => None,
-                w => {
-                    let pair = w
-                        .as_u64_vec()
-                        .filter(|p| p.len() == 2)
-                        .ok_or_else(|| mal(line, "bad sample write pair"))?;
-                    Some((pair[0], pair[1] as u32))
-                }
-            };
-            row.push(BankSampleSnap {
-                read: f_opt_u64(b, "r", line)?,
-                write,
-                dv: f_opt_u64(b, "dv", line)?,
-                wdone: f_bool(b, "wd", line)?,
-                perr: f_bool(b, "pe", line)?,
-            });
+    fn decode(j: &Json) -> Result<GeneratorSnap, FieldError> {
+        let r = Record::new(j)?;
+        match r.str("t")? {
+            "guided" => Ok(GeneratorSnap::Guided(Field::decode(j)?)),
+            "random" => Ok(GeneratorSnap::Random(Field::decode(j)?)),
+            tag => Err(r.unknown("t", tag)),
         }
-        history.push(row);
-    }
-    Ok(CollectorSnap {
-        hits: j
-            .get("hits")
-            .and_then(Json::as_u64_vec)
-            .ok_or_else(|| mal(line, "missing field \"hits\""))?,
-        first_hit: f_arr(j, "first_hit", line)?
-            .iter()
-            .map(|f| f.as_opt_u64())
-            .collect::<Option<_>>()
-            .ok_or_else(|| mal(line, "bad first_hit entry"))?,
-        history,
-        cycle: f_u64(j, "cycle", line)?,
-    })
-}
-
-fn enc_driver(d: &DriverSnap) -> Json {
-    obj(vec![
-        ("sec", Json::str("driver")),
-        ("cycle", Json::num(d.cycle)),
-        ("last_read", jopt(d.last_read)),
-        ("rr_next", Json::num(d.rr_next)),
-        ("inject_x", Json::Bool(d.inject_x)),
-        (
-            "pending",
-            Json::Arr(
-                d.pending
-                    .iter()
-                    .map(|p| match p {
-                        Some(item) => item_to_json(item),
-                        None => Json::Null,
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "stats",
-            obj(vec![
-                ("ri", Json::num(d.stats.reads_issued)),
-                ("wi", Json::num(d.stats.writes_issued)),
-                ("ic", Json::num(d.stats.idle_cycles)),
-                ("dl", Json::num(d.stats.items_delayed)),
-                ("rc", Json::num(d.stats.raw_cycles)),
-            ]),
-        ),
-    ])
-}
-
-fn dec_driver(j: &Json, line: usize) -> Result<DriverSnap, CheckpointError> {
-    let mut pending = Vec::new();
-    for p in f_arr(j, "pending", line)? {
-        pending.push(match p {
-            Json::Null => None,
-            item => Some(item_from_json(item).map_err(|e| mal(line, e))?),
-        });
-    }
-    let stats = j
-        .get("stats")
-        .ok_or_else(|| mal(line, "missing field \"stats\""))?;
-    Ok(DriverSnap {
-        cycle: f_u64(j, "cycle", line)?,
-        last_read: f_opt_u64(j, "last_read", line)?,
-        pending,
-        rr_next: f_u64(j, "rr_next", line)?,
-        inject_x: f_bool(j, "inject_x", line)?,
-        stats: DriverStats {
-            reads_issued: f_u64(stats, "ri", line)?,
-            writes_issued: f_u64(stats, "wi", line)?,
-            idle_cycles: f_u64(stats, "ic", line)?,
-            items_delayed: f_u64(stats, "dl", line)?,
-            raw_cycles: f_u64(stats, "rc", line)?,
-        },
-    })
-}
-
-fn enc_generator(g: &GeneratorSnap) -> Json {
-    match g {
-        GeneratorSnap::Guided(s) => obj(vec![
-            ("sec", Json::str("gen")),
-            ("t", Json::str("guided")),
-            ("rng", Json::num(s.rng)),
-            (
-                "plan",
-                Json::Arr(
-                    s.plan
-                        .iter()
-                        .map(|cyc| Json::Arr(cyc.iter().map(op_to_json).collect()))
-                        .collect(),
-                ),
-            ),
-            (
-                "items",
-                Json::Arr(s.items.iter().map(item_to_json).collect()),
-            ),
-        ]),
-        GeneratorSnap::Random(s) => obj(vec![
-            ("sec", Json::str("gen")),
-            ("t", Json::str("random")),
-            ("rng", Json::num(s.rng)),
-            (
-                "items",
-                Json::Arr(s.items.iter().map(item_to_json).collect()),
-            ),
-        ]),
-    }
-}
-
-fn dec_generator(j: &Json, line: usize) -> Result<GeneratorSnap, CheckpointError> {
-    let rng = f_u64(j, "rng", line)?;
-    let items = f_arr(j, "items", line)?
-        .iter()
-        .map(item_from_json)
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| mal(line, e))?;
-    match j.get("t").and_then(Json::as_str) {
-        Some("guided") => {
-            let mut plan = Vec::new();
-            for cyc in f_arr(j, "plan", line)? {
-                let ops = cyc
-                    .as_arr()
-                    .ok_or_else(|| mal(line, "plan cycle is not an array"))?;
-                plan.push(
-                    ops.iter()
-                        .map(op_from_json)
-                        .collect::<Result<Vec<_>, _>>()
-                        .map_err(|e| mal(line, e))?,
-                );
-            }
-            Ok(GeneratorSnap::Guided(GuidedMixSnap { rng, plan, items }))
-        }
-        Some("random") => Ok(GeneratorSnap::Random(RandomMixSnap { rng, items })),
-        _ => Err(mal(line, "unknown generator tag")),
     }
 }

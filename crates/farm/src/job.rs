@@ -11,7 +11,7 @@
 
 use la1_asm::ExploreConfig;
 use la1_core::asm_model::LaAsmModel;
-use la1_core::json::opt_u64;
+use la1_core::json::{Field, Json, Report};
 use la1_core::spec::LaConfig;
 use la1_core::stimulus::stream_seed;
 use la1_cover::{
@@ -232,6 +232,16 @@ pub struct ExploreSummary {
     /// Whether every attached directive passed.
     pub all_pass: bool,
 }
+
+la1_core::json_record!(ExploreSummary {
+    banks,
+    states,
+    transitions,
+    max_depth_reached,
+    complete,
+    budget,
+    all_pass
+});
 
 /// The result of one [`FarmJob`], in mergeable form.
 #[derive(Debug, Clone)]
@@ -695,33 +705,18 @@ impl FarmReport {
         if self.degraded.is_empty() {
             return self.merged.to_json();
         }
-        let entries = self
-            .degraded
-            .iter()
-            .map(|d| {
-                format!(
-                    "    {{\"job\": {}, \"kind\": \"{}\", \"reason\": \"{}\"}}",
-                    d.job,
-                    d.kind,
-                    la1_core::json::escape(&d.reason)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let merged = self
-            .merged
-            .to_json()
-            .trim_end()
-            .lines()
-            .map(|l| format!("  {l}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-            .trim_start()
-            .to_string();
-        format!(
-            "{{\n  \"kind\": \"degraded-farm\",\n  \"degraded\": [\n{entries}\n  ],\n  \
-             \"merged\": {merged}\n}}\n"
-        )
+        let entries = self.degraded.iter().map(|d| {
+            Json::obj([
+                ("job", d.job.encode()),
+                ("kind", Json::str(d.kind)),
+                ("reason", d.reason.encode()),
+            ])
+        });
+        Report::new()
+            .field("kind", &Json::str("degraded-farm"))
+            .rows("degraded", entries)
+            .nested("merged", self.merged.report())
+            .render()
     }
 }
 
@@ -741,81 +736,36 @@ impl MergedReport {
     /// Renders the deterministic JSON body (no timing, no worker
     /// count).
     pub fn to_json(&self) -> String {
+        self.report().render()
+    }
+
+    fn report(&self) -> Report {
         match self {
-            MergedReport::Campaign(m) => m.to_json(),
+            MergedReport::Campaign(m) => m.report(),
             MergedReport::Closure(r) => {
-                let bins = r
-                    .bins
-                    .iter()
-                    .map(|(name, s)| {
-                        format!(
-                            "    {{\"bin\": \"{name}\", \"tier\": {}, \"hits\": {}, \
-                             \"first_hit\": {}}}",
-                            s.tier,
-                            s.hits,
-                            opt_u64(s.first_hit)
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",\n");
-                format!(
-                    "{{\n  \"kind\": \"closure-farm\",\n  \"banks\": {},\n  \"burst\": {},\n  \
-                     \"guided\": {},\n  \"seed\": {},\n  \"jobs\": {},\n  \
-                     \"streams_per_job\": {},\n  \"lane_cycles\": {},\n  \"bins_total\": {},\n  \
-                     \"bins_hit\": {},\n  \"tier1_total\": {},\n  \"tier1_hit\": {},\n  \
-                     \"closed\": {},\n  \"cycles_to_closure\": {},\n  \"total_hits\": {},\n  \
-                     \"unhit\": [{}],\n  \"bins\": [\n{bins}\n  ]\n}}\n",
-                    r.banks,
-                    r.burst,
-                    r.guided,
-                    r.seed,
-                    r.jobs,
-                    r.streams_per_job,
-                    r.lane_cycles,
-                    r.bins_total,
-                    r.bins_hit,
-                    r.tier1_total,
-                    r.tier1_hit,
-                    r.closed,
-                    opt_u64(r.cycles_to_closure),
-                    r.total_hits,
-                    la1_core::json::str_array_body(&r.unhit)
-                )
+                let bins = r.bins.iter().map(|(name, s)| {
+                    Json::obj([("bin", Json::str(name.as_str()))]).extend(s.encode())
+                });
+                let fields = la1_core::json_fields!(r, {
+                    banks, burst, guided, seed, jobs, streams_per_job, lane_cycles, bins_total,
+                    bins_hit, tier1_total, tier1_hit, closed, cycles_to_closure, total_hits, unhit
+                });
+                Report::new()
+                    .field("kind", &Json::str("closure-farm"))
+                    .fields(fields)
+                    .rows("bins", bins)
             }
-            MergedReport::Explore(r) => {
-                let runs = r
-                    .runs
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            "    {{\"banks\": {}, \"states\": {}, \"transitions\": {}, \
-                             \"max_depth_reached\": {}, \"complete\": {}, \"budget\": {}, \
-                             \"all_pass\": {}}}",
-                            s.banks,
-                            s.states,
-                            s.transitions,
-                            s.max_depth_reached,
-                            s.complete,
-                            match &s.budget {
-                                Some(b) => format!("\"{b}\""),
-                                None => "null".to_string(),
-                            },
-                            s.all_pass
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",\n");
-                format!(
-                    "{{\n  \"kind\": \"explore-farm\",\n  \"jobs\": {},\n  \"states\": {},\n  \
-                     \"transitions\": {},\n  \"complete\": {},\n  \"all_pass\": {},\n  \
-                     \"runs\": [\n{runs}\n  ]\n}}\n",
-                    r.runs.len(),
-                    r.runs.iter().map(|s| s.states).sum::<usize>(),
-                    r.runs.iter().map(|s| s.transitions).sum::<usize>(),
-                    r.complete(),
-                    r.all_pass()
+            MergedReport::Explore(r) => Report::new()
+                .field("kind", &Json::str("explore-farm"))
+                .field("jobs", &r.runs.len())
+                .field("states", &r.runs.iter().map(|s| s.states).sum::<usize>())
+                .field(
+                    "transitions",
+                    &r.runs.iter().map(|s| s.transitions).sum::<usize>(),
                 )
-            }
+                .field("complete", &r.complete())
+                .field("all_pass", &r.all_pass())
+                .rows("runs", r.runs.iter().map(Field::encode)),
         }
     }
 }

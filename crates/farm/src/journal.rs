@@ -25,11 +25,8 @@
 //! per-bin coverage statistics — because the merged report of a
 //! resumed run must be byte-identical to an uninterrupted one.
 
-use crate::job::{ExploreSummary, FailReason, FarmPlan, JobResult};
-use la1_core::json::{escape, opt_u64, parse, Json};
-use la1_cover::{BinStat, BinStats, MultiClosureReport};
-use la1_fault::{CellStats, DetectionMatrix, MonitorStat};
-use std::collections::BTreeMap;
+use crate::job::{FailReason, FarmPlan, JobResult};
+use la1_core::json::{Field, FieldError, Footer, FrameError, Framing, Json, Record};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
@@ -52,13 +49,7 @@ impl Journal {
     /// the header line.
     pub fn create(path: &Path, plan: &FarmPlan) -> std::io::Result<Journal> {
         let mut file = File::create(path)?;
-        let header = format!(
-            "{{\"kind\": \"farm-journal\", \"version\": {JOURNAL_VERSION}, \
-             \"fingerprint\": \"{:016x}\", \"jobs\": {}}}\n",
-            plan.fingerprint(),
-            plan.jobs().len()
-        );
-        file.write_all(header.as_bytes())?;
+        file.write_all(header_line(plan, plan.jobs().len()).as_bytes())?;
         file.flush()?;
         Ok(Journal {
             path: path.to_path_buf(),
@@ -84,10 +75,13 @@ impl Journal {
     /// Appends one committed result, flushed so a crash right after
     /// the commit point still finds the line on recovery.
     pub fn append(&mut self, job: usize, attempts: u32, result: &JobResult) {
-        let line = format!(
-            "{{\"job\": {job}, \"attempts\": {attempts}, \"result\": {}}}\n",
-            result_to_json(result)
-        );
+        let mut line = Json::obj([
+            ("job", job.encode()),
+            ("attempts", attempts.encode()),
+            ("result", result.encode()),
+        ])
+        .render();
+        line.push('\n');
         self.append_line(&line);
     }
 
@@ -157,308 +151,122 @@ pub struct Recovered {
 ///
 /// Recovery rules, in order:
 /// * unreadable file → [`JournalError::Io`];
-/// * header line torn or unparseable → nothing to trust: an empty
-///   recovery (`valid_bytes` 0) that resumes as a fresh run;
-/// * header intact but for a different plan/version →
-///   [`JournalError::PlanMismatch`];
-/// * result lines replay until the first torn, unparseable or
-///   out-of-order line; everything after is discarded.
+/// * header line torn, unparseable or foreign → nothing to trust: an
+///   empty recovery (`valid_bytes` 0) that resumes as a fresh run;
+/// * header intact but not the one `plan` writes (another plan or
+///   format version) → [`JournalError::PlanMismatch`];
+/// * result lines replay until the first torn, unparseable,
+///   undecodable (a missing field, or a number out of its type's range)
+///   or out-of-order line; everything after is discarded.
 pub fn load(path: &Path, plan: &FarmPlan) -> Result<Recovered, JournalError> {
     let mut raw = Vec::new();
     File::open(path)?.read_to_end(&mut raw)?;
-    let text = String::from_utf8_lossy(&raw);
-    let mut results = Vec::new();
-    let mut valid_bytes = 0u64;
+    // bytes past the first invalid UTF-8 sequence are as good as torn
+    let text = match std::str::from_utf8(&raw) {
+        Ok(text) => text,
+        Err(e) => std::str::from_utf8(&raw[..e.valid_up_to()]).unwrap_or_default(),
+    };
     let njobs = plan.jobs().len();
-    let expected_fp = format!("{:016x}", plan.fingerprint());
-    for (idx, line) in text.split_inclusive('\n').enumerate() {
-        let Some(body) = line.strip_suffix('\n') else {
-            break; // torn trailing line: discard
-        };
-        let Ok(parsed) = parse(body) else {
-            break; // corrupt line: trust only what precedes it
-        };
-        if idx == 0 {
-            let fp = parsed.get("fingerprint").and_then(Json::as_str);
-            let version = parsed.get("version").and_then(Json::as_u64);
-            let jobs = parsed.get("jobs").and_then(Json::as_u64);
-            if parsed.get("kind").and_then(Json::as_str) != Some("farm-journal") {
-                break;
-            }
-            if version != Some(JOURNAL_VERSION)
-                || fp != Some(expected_fp.as_str())
-                || jobs != Some(njobs as u64)
-            {
-                return Err(JournalError::PlanMismatch {
-                    found: format!(
-                        "version {} fingerprint {} jobs {}",
-                        opt_u64(version),
-                        fp.unwrap_or("?"),
-                        opt_u64(jobs)
-                    ),
-                    expected: format!(
-                        "version {JOURNAL_VERSION} fingerprint {expected_fp} jobs {njobs}"
-                    ),
-                });
-            }
-        } else {
-            let job = parsed.get("job").and_then(Json::as_u64);
-            let attempts = parsed.get("attempts").and_then(Json::as_u64);
-            let result = parsed.get("result").and_then(result_from_json);
-            let (Some(job), Some(attempts), Some(result)) = (job, attempts, result) else {
-                break;
-            };
-            // commits are strictly in job-id order; a gap means the
-            // line belongs to some other history — stop trusting here
-            if job as usize != results.len() || results.len() >= njobs {
-                break;
-            }
-            results.push((result, attempts as u32));
+    let expected = header_line(plan, njobs);
+    let frame = match JOURNAL.read(text) {
+        Ok(frame) if text.starts_with(&expected) => frame,
+        Ok(_) | Err(FrameError::VersionMismatch { .. }) => {
+            return Err(JournalError::PlanMismatch {
+                found: text.lines().next().unwrap_or_default().to_string(),
+                expected: expected.trim_end().to_string(),
+            })
         }
-        valid_bytes += line.len() as u64;
+        Err(_) => {
+            return Ok(Recovered {
+                results: Vec::new(),
+                valid_bytes: 0,
+            })
+        }
+    };
+    let mut results = Vec::new();
+    let mut valid_bytes = frame.header.end;
+    for line in &frame.body {
+        let entry = line
+            .record()
+            .and_then(|r| Ok((r.get::<usize>("job")?, r.get("attempts")?, r.get("result")?)));
+        // commits are strictly in job-id order; a gap means the line
+        // belongs to some other history — stop trusting here
+        let Ok((job, attempts, result)) = entry else {
+            break;
+        };
+        if job != results.len() || job >= njobs {
+            break;
+        }
+        results.push((result, attempts));
+        valid_bytes = line.end;
     }
     Ok(Recovered {
         results,
-        valid_bytes,
+        valid_bytes: valid_bytes as u64,
     })
 }
 
-// ---------------------------------------------------------------------
-// full-fidelity result payloads
-
-/// Serializes a result as a single JSON line fragment carrying every
-/// field the merge and the serve record consume — the journal's
-/// round-trip contract ([`result_from_json`] inverts it exactly).
-pub fn result_to_json(result: &JobResult) -> String {
-    match result {
-        JobResult::Campaign(m) => {
-            let cells = m
-                .cells
-                .iter()
-                .flat_map(|(fault, levels)| {
-                    levels.iter().map(move |(level, cell)| {
-                        let monitors = cell
-                            .monitors
-                            .iter()
-                            .map(|(name, s)| {
-                                format!(
-                                    "{{\"name\": \"{}\", \"detected\": {}, \"latency_sum\": {}}}",
-                                    escape(name),
-                                    s.detected,
-                                    s.latency_sum
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        format!(
-                            "{{\"fault\": \"{}\", \"level\": \"{}\", \"runs\": {}, \
-                             \"hung\": {}, \"monitors\": [{monitors}]}}",
-                            escape(fault),
-                            escape(level),
-                            cell.runs,
-                            cell.hung
-                        )
-                    })
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            let healthy = m
-                .healthy
-                .iter()
-                .map(|(level, ok)| format!("{{\"level\": \"{}\", \"ok\": {ok}}}", escape(level)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let disagreements = m
-                .disagreements
-                .iter()
-                .map(|d| format!("\"{}\"", escape(d)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "{{\"kind\": \"campaign\", \"banks\": {}, \"seed\": {}, \
-                 \"runs_per_fault\": {}, \"cells\": [{cells}], \"healthy\": [{healthy}], \
-                 \"disagreements\": [{disagreements}]}}",
-                m.banks, m.seed, m.runs_per_fault
-            )
-        }
-        JobResult::Closure(r) => {
-            let bins = r
-                .bins
-                .iter()
-                .map(|(name, s)| {
-                    format!(
-                        "{{\"name\": \"{}\", \"tier\": {}, \"hits\": {}, \"first_hit\": {}}}",
-                        escape(name),
-                        s.tier,
-                        s.hits,
-                        opt_u64(s.first_hit)
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            let unhit = r
-                .unhit
-                .iter()
-                .map(|u| format!("\"{}\"", escape(u)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "{{\"kind\": \"closure\", \"banks\": {}, \"burst\": {}, \"guided\": {}, \
-                 \"seed\": {}, \"streams\": {}, \"budget\": {}, \"cycles_run\": {}, \
-                 \"lane_cycles\": {}, \"bins_total\": {}, \"bins_hit\": {}, \
-                 \"tier1_total\": {}, \"tier1_hit\": {}, \"closed\": {}, \
-                 \"cycles_to_closure\": {}, \"unhit\": [{unhit}], \"bins\": [{bins}]}}",
-                r.banks,
-                r.burst,
-                r.guided,
-                r.seed,
-                r.streams,
-                r.budget,
-                r.cycles_run,
-                r.lane_cycles,
-                r.bins_total,
-                r.bins_hit,
-                r.tier1_total,
-                r.tier1_hit,
-                r.closed,
-                opt_u64(r.cycles_to_closure)
-            )
-        }
-        JobResult::Explore(s) => format!(
-            "{{\"kind\": \"explore\", \"banks\": {}, \"states\": {}, \"transitions\": {}, \
-             \"max_depth_reached\": {}, \"complete\": {}, \"budget\": {}, \"all_pass\": {}}}",
-            s.banks,
-            s.states,
-            s.transitions,
-            s.max_depth_reached,
-            s.complete,
-            match &s.budget {
-                Some(b) => format!("\"{}\"", escape(b)),
-                None => "null".to_string(),
-            },
-            s.all_pass
-        ),
-        JobResult::Failed { job, reason } => {
-            let (kind, detail) = match reason {
-                FailReason::Panic(msg) => ("panic", format!("\"{}\"", escape(msg))),
-                FailReason::Timeout { budget_ms } => ("timeout", budget_ms.to_string()),
-            };
-            format!(
-                "{{\"kind\": \"failed\", \"job\": {job}, \"reason\": \"{kind}\", \
-                 \"detail\": {detail}}}"
-            )
-        }
-    }
+/// The header a journal of `plan` (with `njobs` jobs) starts with: a
+/// journal resumes only the plan whose header it carries byte for byte.
+fn header_line(plan: &FarmPlan, njobs: usize) -> String {
+    JOURNAL.header([
+        ("fingerprint", Json::fingerprint(plan.fingerprint())),
+        ("jobs", njobs.encode()),
+    ])
 }
 
-/// Deserializes a [`result_to_json`] payload; `None` on any missing or
-/// mistyped field (the caller treats the line — and the rest of the
-/// journal — as torn).
-pub fn result_from_json(v: &Json) -> Option<JobResult> {
-    match v.get("kind")?.as_str()? {
-        "campaign" => {
-            let mut cells: BTreeMap<String, BTreeMap<String, CellStats>> = BTreeMap::new();
-            for cell in v.get("cells")?.as_arr()? {
-                let fault = cell.get("fault")?.as_str()?.to_string();
-                let level = cell.get("level")?.as_str()?.to_string();
-                let mut monitors = BTreeMap::new();
-                for m in cell.get("monitors")?.as_arr()? {
-                    monitors.insert(
-                        m.get("name")?.as_str()?.to_string(),
-                        MonitorStat {
-                            detected: m.get("detected")?.as_u64()? as u32,
-                            latency_sum: m.get("latency_sum")?.as_u64()?,
-                        },
-                    );
-                }
-                cells.entry(fault).or_default().insert(
-                    level,
-                    CellStats {
-                        runs: cell.get("runs")?.as_u64()? as u32,
-                        hung: cell.get("hung")?.as_u64()? as u32,
-                        monitors,
+/// The journal stream: a header pinning the plan, then one line per
+/// committed result, no footer (it is append-only).
+const JOURNAL: Framing = Framing {
+    kind: "farm-journal",
+    version: JOURNAL_VERSION,
+    footer: Footer::None,
+};
+
+/// Every field the merge and the serve record consume — the journal's
+/// round-trip contract. The closure and explore payloads are the
+/// merged reports' own encoders behind a `kind` tag.
+impl Field for JobResult {
+    fn encode(&self) -> Json {
+        let body = match self {
+            JobResult::Campaign(m) => m.encode(),
+            JobResult::Closure(r) => r.encode(),
+            JobResult::Explore(s) => s.encode(),
+            JobResult::Failed { job, reason } => {
+                let (tag, detail) = match reason {
+                    FailReason::Panic(msg) => ("panic", msg.encode()),
+                    FailReason::Timeout { budget_ms } => ("timeout", budget_ms.encode()),
+                };
+                Json::obj([
+                    ("job", job.encode()),
+                    ("reason", Json::str(tag)),
+                    ("detail", detail),
+                ])
+            }
+        };
+        Json::obj([("kind", Json::str(self.kind()))]).extend(body)
+    }
+
+    fn decode(j: &Json) -> Result<JobResult, FieldError> {
+        let r = Record::new(j)?;
+        match r.str("kind")? {
+            "campaign" => Ok(JobResult::Campaign(Field::decode(j)?)),
+            "closure" => Ok(JobResult::Closure(Field::decode(j)?)),
+            "explore" => Ok(JobResult::Explore(Field::decode(j)?)),
+            "failed" => {
+                let reason = match r.str("reason")? {
+                    "panic" => FailReason::Panic(r.get("detail")?),
+                    "timeout" => FailReason::Timeout {
+                        budget_ms: r.get("detail")?,
                     },
-                );
+                    tag => return Err(r.unknown("reason", tag)),
+                };
+                Ok(JobResult::Failed {
+                    job: r.get("job")?,
+                    reason,
+                })
             }
-            let mut healthy = BTreeMap::new();
-            for h in v.get("healthy")?.as_arr()? {
-                healthy.insert(h.get("level")?.as_str()?.to_string(), h.get("ok")?.as_bool()?);
-            }
-            let disagreements = v
-                .get("disagreements")?
-                .as_arr()?
-                .iter()
-                .map(|d| d.as_str().map(str::to_string))
-                .collect::<Option<Vec<_>>>()?;
-            Some(JobResult::Campaign(DetectionMatrix {
-                banks: v.get("banks")?.as_u64()? as u32,
-                seed: v.get("seed")?.as_u64()?,
-                runs_per_fault: v.get("runs_per_fault")?.as_u64()? as u32,
-                cells,
-                healthy,
-                disagreements,
-            }))
+            tag => Err(r.unknown("kind", tag)),
         }
-        "closure" => {
-            let mut bins = BinStats::new();
-            for b in v.get("bins")?.as_arr()? {
-                bins.insert(
-                    b.get("name")?.as_str()?.to_string(),
-                    BinStat {
-                        tier: b.get("tier")?.as_u64()? as u32,
-                        hits: b.get("hits")?.as_u64()?,
-                        first_hit: b.get("first_hit")?.as_opt_u64()?,
-                    },
-                );
-            }
-            let unhit = v
-                .get("unhit")?
-                .as_arr()?
-                .iter()
-                .map(|u| u.as_str().map(str::to_string))
-                .collect::<Option<Vec<_>>>()?;
-            Some(JobResult::Closure(MultiClosureReport {
-                banks: v.get("banks")?.as_u64()? as u32,
-                burst: v.get("burst")?.as_bool()?,
-                guided: v.get("guided")?.as_bool()?,
-                seed: v.get("seed")?.as_u64()?,
-                streams: v.get("streams")?.as_u64()? as u32,
-                budget: v.get("budget")?.as_u64()?,
-                cycles_run: v.get("cycles_run")?.as_u64()?,
-                lane_cycles: v.get("lane_cycles")?.as_u64()?,
-                bins_total: v.get("bins_total")?.as_u64()? as usize,
-                bins_hit: v.get("bins_hit")?.as_u64()? as usize,
-                tier1_total: v.get("tier1_total")?.as_u64()? as usize,
-                tier1_hit: v.get("tier1_hit")?.as_u64()? as usize,
-                closed: v.get("closed")?.as_bool()?,
-                cycles_to_closure: v.get("cycles_to_closure")?.as_opt_u64()?,
-                unhit,
-                bins,
-            }))
-        }
-        "explore" => Some(JobResult::Explore(ExploreSummary {
-            banks: v.get("banks")?.as_u64()? as u32,
-            states: v.get("states")?.as_u64()? as usize,
-            transitions: v.get("transitions")?.as_u64()? as usize,
-            max_depth_reached: v.get("max_depth_reached")?.as_u64()? as usize,
-            complete: v.get("complete")?.as_bool()?,
-            budget: match v.get("budget")? {
-                Json::Null => None,
-                b => Some(b.as_str()?.to_string()),
-            },
-            all_pass: v.get("all_pass")?.as_bool()?,
-        })),
-        "failed" => {
-            let job = v.get("job")?.as_u64()? as usize;
-            let reason = match v.get("reason")?.as_str()? {
-                "panic" => FailReason::Panic(v.get("detail")?.as_str()?.to_string()),
-                "timeout" => FailReason::Timeout {
-                    budget_ms: v.get("detail")?.as_u64()?,
-                },
-                _ => return None,
-            };
-            Some(JobResult::Failed { job, reason })
-        }
-        _ => None,
     }
 }

@@ -30,6 +30,7 @@ use crate::models::{FaultModel, FaultPlan, HostileMasterSeq, Injector};
 use la1_core::asm_model::LaAsmModel;
 use la1_core::checkpoint::Trace;
 use la1_core::cycle_model::{CycleModel, RtlWithOvl};
+use la1_core::json::{self, Field, FieldError, Json, Record, Report};
 use la1_core::rtl_model::{LaRtl, LaRtlDriver, XPin};
 use la1_core::sc_model::LaSystemC;
 use la1_core::spec::{BankOp, LaConfig, READ_LATENCY};
@@ -418,62 +419,127 @@ impl DetectionMatrix {
     /// timing data): the same seed and config give byte-identical
     /// output.
     pub fn to_json(&self) -> String {
-        self.to_json_with_perf(None)
+        self.report().render()
     }
 
     /// [`Self::to_json`] with an optional `"perf"` object appended —
     /// throughput figures are wall-clock measurements, so they live
     /// outside the deterministic core (passing `None` reproduces
     /// [`Self::to_json`] byte-for-byte, golden files included).
+    ///
+    /// # Panics
+    ///
+    /// If `perf` is not valid JSON.
     pub fn to_json_with_perf(&self, perf: Option<&str>) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"banks\": {},\n", self.banks));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"runs_per_fault\": {},\n", self.runs_per_fault));
-        out.push_str("  \"matrix\": [\n");
-        let mut rows = Vec::new();
+        match perf {
+            None => self.to_json(),
+            Some(perf) => {
+                let perf = json::parse(perf).expect("perf must be valid JSON");
+                self.report().field("perf", &perf).render()
+            }
+        }
+    }
+
+    /// The [`Self::to_json`] report, for embedding in a larger one.
+    pub fn report(&self) -> Report {
+        let mut matrix = Vec::new();
         for (fault, levels) in &self.cells {
             for (level, cell) in levels {
-                let monitors = cell
-                    .monitors
-                    .iter()
-                    .map(|(name, m)| {
-                        format!(
-                            "{{\"monitor\": \"{name}\", \"detected\": {}, \"mean_latency\": {:.1}}}",
-                            m.detected,
-                            m.latency_sum as f64 / m.detected.max(1) as f64
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                rows.push(format!(
-                    "    {{\"fault\": \"{fault}\", \"level\": \"{level}\", \"runs\": {}, \"hung\": {}, \"monitors\": [{monitors}]}}",
-                    cell.runs, cell.hung
-                ));
+                let monitors = cell.monitors.iter().map(|(name, m)| {
+                    let mean = m.latency_sum as f64 / m.detected.max(1) as f64;
+                    Json::obj([
+                        ("monitor", Json::str(name.as_str())),
+                        ("detected", m.detected.encode()),
+                        ("mean_latency", Json::Num(format!("{mean:.1}"))),
+                    ])
+                });
+                matrix.push(Json::obj([
+                    ("fault", Json::str(fault.as_str())),
+                    ("level", Json::str(level.as_str())),
+                    ("runs", cell.runs.encode()),
+                    ("hung", cell.hung.encode()),
+                    ("monitors", Json::Arr(monitors.collect())),
+                ]));
             }
         }
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ],\n");
-        out.push_str("  \"healthy\": [");
-        let healthy = self
-            .healthy
-            .iter()
-            .map(|(level, ok)| format!("{{\"level\": \"{level}\", \"ok\": {ok}}}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&healthy);
-        out.push_str("],\n");
-        out.push_str("  \"disagreements\": [");
-        out.push_str(&la1_core::json::str_array_body(&self.disagreements));
-        match perf {
-            Some(perf) => {
-                out.push_str("],\n");
-                out.push_str(&format!("  \"perf\": {perf}\n}}\n"));
-            }
-            None => out.push_str("]\n}\n"),
+        Report::new()
+            .field("banks", &self.banks)
+            .field("seed", &self.seed)
+            .field("runs_per_fault", &self.runs_per_fault)
+            .rows("matrix", matrix)
+            .field("healthy", &self.healthy_rows())
+            .field("disagreements", &self.disagreements)
+    }
+
+    fn healthy_rows(&self) -> Json {
+        Json::Arr(
+            self.healthy
+                .iter()
+                .map(|(level, ok)| {
+                    Json::obj([("level", Json::str(level.as_str())), ("ok", ok.encode())])
+                })
+                .collect(),
+        )
+    }
+}
+
+la1_core::json_record!(MonitorStat {
+    detected,
+    latency_sum
+});
+la1_core::json_record!(CellStats {
+    runs,
+    hung,
+    monitors
+});
+
+/// Full fidelity, for the farm journal: per-monitor latency sums rather
+/// than the report's rounded means.
+impl Field for DetectionMatrix {
+    fn encode(&self) -> Json {
+        let cells = self.cells.iter().flat_map(|(fault, levels)| {
+            levels.iter().map(move |(level, cell)| {
+                let at = [
+                    ("fault", Json::str(fault.as_str())),
+                    ("level", Json::str(level.as_str())),
+                ];
+                Json::obj(at).extend(cell.encode())
+            })
+        });
+        Json::obj([
+            ("banks", self.banks.encode()),
+            ("seed", self.seed.encode()),
+            ("runs_per_fault", self.runs_per_fault.encode()),
+            ("cells", Json::Arr(cells.collect())),
+            ("healthy", self.healthy_rows()),
+            ("disagreements", self.disagreements.encode()),
+        ])
+    }
+
+    fn decode(j: &Json) -> Result<DetectionMatrix, FieldError> {
+        let r = Record::new(j)?;
+        let mut cells: BTreeMap<String, BTreeMap<String, CellStats>> = BTreeMap::new();
+        for row in &r.get::<Vec<Json>>("cells")? {
+            let at = Record::new(row)?;
+            let cell = CellStats::decode(row)?;
+            cells
+                .entry(at.get("fault")?)
+                .or_default()
+                .insert(at.get("level")?, cell);
         }
-        out
+        let mut healthy = BTreeMap::new();
+        for row in &r.get::<Vec<Json>>("healthy")? {
+            let h = Record::new(row)?;
+            healthy.insert(h.get("level")?, h.get("ok")?);
+        }
+        Ok(DetectionMatrix {
+            banks: r.get("banks")?,
+            seed: r.get("seed")?,
+            runs_per_fault: r.get("runs_per_fault")?,
+            cells,
+            healthy,
+            disagreements: r.get("disagreements")?,
+        })
     }
 }
 

@@ -46,6 +46,7 @@ use crate::campaign::{
 };
 use crate::models::{FaultModel, FaultPlan, Injector};
 use la1_core::harness::attach_la1_ovl;
+use la1_core::json::Field;
 use la1_core::rtl_model::{LaRtl, LaRtlBatchDriver, XPin};
 use la1_core::spec::{BankOp, LaConfig, READ_LATENCY};
 use la1_ovl::OvlBench;
@@ -82,12 +83,16 @@ impl BatchStats {
 
     /// Deterministic JSON object (no timing data).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"rtl_lane_runs\": {}, \"groups\": {}, \"lanes_retired_early\": {}, \"lane_cycles_saved\": {}}}",
-            self.rtl_lane_runs, self.groups, self.lanes_retired_early, self.lane_cycles_saved
-        )
+        self.encode().render()
     }
 }
+
+la1_core::json_record!(BatchStats {
+    rtl_lane_runs,
+    groups,
+    lanes_retired_early,
+    lane_cycles_saved
+});
 
 /// Which netlist a lane group simulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

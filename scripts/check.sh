@@ -93,11 +93,12 @@ diff "$FARM_TMP/clean.json" "$FARM_TMP/resumed.json" > /dev/null \
 # before reporting any timing (no speedup floor here — equivalence,
 # not speed, is the tier-1 contract).
 ./target/release/checkpoint --smoke > /dev/null
-# (2) The differential restore-equivalence suite, widened with the
-# property-based sweeps: random seeds and random cut cycles across all
-# four levels plus the batched engine, pins/verdicts/coverage compared
-# every cycle after restore.
-cargo test -q --test checkpoint_equivalence --features proptest > /dev/null
+# (2) Every feature-gated property suite in the workspace: the
+# differential restore-equivalence sweeps (random seeds and cut cycles
+# across all four levels plus the batched engine), the PSL parser's
+# never-panic properties, the farm journal truncation/resume and chaos
+# properties, and the four-state algebra.
+cargo test -q --workspace --features proptest > /dev/null
 # (3) SIGKILL-mid-stage + restore-from-snapshot: a journaled
 # warm-started closure farm (every shard restores a 4000-cycle
 # preamble from its snapshot instead of re-running it) is SIGKILLed
