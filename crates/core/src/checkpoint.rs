@@ -784,8 +784,8 @@ fn enc_rtl(s: &RtlDriverSnap, out: &mut Vec<Json>) {
         "rtl",
         Json::obj([
             ("cycles", s.cycles.encode()),
-            ("captured_lo", s.captured_lo.encode()),
-            ("outputs", s.outputs.encode()),
+            ("captured_lo", s.captured_lo[0].encode()),
+            ("outputs", s.outputs[0].encode()),
             ("steps", s.sim.steps.encode()),
             ("evals", s.sim.evals.encode()),
             ("prev_clk", s.sim.prev_clk.encode()),
@@ -817,8 +817,8 @@ fn dec_rtl(secs: &mut Sections<'_>) -> Result<RtlDriverSnap, CheckpointError> {
             evals: head.get("evals")?,
         },
         cycles: head.get("cycles")?,
-        captured_lo: head.get("captured_lo")?,
-        outputs: head.get("outputs")?,
+        captured_lo: vec![head.get("captured_lo")?],
+        outputs: vec![head.get("outputs")?],
     })
 }
 

@@ -18,13 +18,14 @@
 //! [`LaRtl::netlist`] yields the structural design (emit Verilog with
 //! [`la1_rtl::Netlist::to_verilog`], extract a transition system for
 //! the `la1-smc` checker with [`la1_rtl::Netlist::extract`]);
-//! [`LaRtlDriver`] clocks the interpreted simulator through full
-//! protocol cycles.
+//! [`LaRtlDriver`] and [`LaRtlBatchDriver`] — the 1- and 64-lane
+//! instances of one [`RtlDriver`] — clock the compiled simulator through
+//! full protocol cycles.
 
 use crate::spec::{bank_bits, BankOp, LaConfig};
 use la1_rtl::{
-    BatchedRtlSim, BatchedRtlState, Edge, Expr, LogicVec, NetId, Netlist, RtlSim, RtlState,
-    TransitionSystem, LANES,
+    BatchedRtlSim, Edge, Expr, LaneValue, LogicVec, NetId, Netlist, PackedVec, RtlSim, Sim,
+    SimState, TransitionSystem,
 };
 
 /// Net handles of the built design.
@@ -407,272 +408,19 @@ pub enum XPin {
     WData,
 }
 
-/// Clocks the interpreted RTL simulator through full protocol cycles.
-#[derive(Debug)]
-pub struct LaRtlDriver {
-    design: LaRtl,
-    sim: RtlSim,
-    cycles: u64,
-    /// dq low half captured during the high phase of the current cycle
-    captured_lo: Option<u64>,
-    /// merged output word per bank, refreshed each cycle
-    outputs: Vec<Option<u64>>,
-    /// pin to drive with X during the next cycle, consumed by `cycle_with`
-    pending_x: Option<XPin>,
-}
-
-impl LaRtlDriver {
-    /// Creates a driver (the design starts with `K` low).
-    pub fn new(design: &LaRtl) -> Self {
-        let sim = RtlSim::new(design.netlist());
-        let banks = design.cfg.banks as usize;
-        LaRtlDriver {
-            design: design.clone(),
-            sim,
-            cycles: 0,
-            captured_lo: None,
-            outputs: vec![None; banks],
-            pending_x: None,
-        }
-    }
-
-    /// Arms a four-state X injection: during the next [`Self::cycle`]
-    /// the chosen input pin is driven with all-X on both clock edges,
-    /// overriding whatever the operations would drive. Whatever the
-    /// design samples from that pin (a write word, an address, a select)
-    /// becomes X and propagates through the state like a real unknown.
-    pub fn inject_x(&mut self, pin: XPin) {
-        self.pending_x = Some(pin);
-    }
-
-    /// Mutable access to the underlying simulator (OVL benches probe
-    /// through it).
-    pub fn sim_mut(&mut self) -> &mut RtlSim {
-        &mut self.sim
-    }
-
-    /// Completed protocol cycles.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// The configuration the driven design was built for.
-    pub fn config(&self) -> &LaConfig {
-        self.design.config()
-    }
-
-    /// Expression evaluations performed by the interpreter so far.
-    pub fn evals(&self) -> u64 {
-        self.sim.evals()
-    }
-
-    /// Runs one full clock cycle with at most one read and one write
-    /// (the single address bus allows no more).
-    ///
-    /// Returns a borrow-friendly handle to sample OVL monitors between
-    /// the edges via [`Self::sim_mut`] — callers that need the paper's
-    /// rising-edge sampling should pass a callback to
-    /// [`Self::cycle_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than one read or write is supplied, or if an
-    /// address is out of range.
-    pub fn cycle(&mut self, ops: &[BankOp]) {
-        self.cycle_with(ops, |_| {});
-    }
-
-    /// Like [`Self::cycle`], invoking `at_rising` once the rising edge
-    /// has settled (the OVL sampling point).
-    pub fn cycle_with<F: FnOnce(&mut RtlSim)>(&mut self, ops: &[BankOp], at_rising: F) {
-        let x_target: Option<(NetId, u32)> = self.pending_x.take().map(|pin| {
-            let cfg = &self.design.cfg;
-            let nets = &self.design.nets;
-            match pin {
-                XPin::ReadSel => (nets.rd_sel, 1),
-                XPin::WriteSel => (nets.wr_sel, 1),
-                XPin::Addr => (nets.addr, cfg.addr_bits() + bank_bits(cfg.banks)),
-                XPin::WData => (nets.wdata, cfg.half_width()),
-            }
-        });
-        let cfg = &self.design.cfg;
-        let nets = &self.design.nets;
-        let word_bits = cfg.addr_bits();
-        let mut read = None;
-        let mut write = None;
-        for op in ops {
-            match *op {
-                BankOp::Read { bank, addr } => {
-                    assert!(read.is_none(), "single address bus: one read per cycle");
-                    assert!(addr < cfg.words_per_bank as u64);
-                    read = Some((bank, addr));
-                }
-                BankOp::Write {
-                    bank,
-                    addr,
-                    data,
-                    byte_en,
-                } => {
-                    assert!(write.is_none(), "single address bus: one write per cycle");
-                    assert!(addr < cfg.words_per_bank as u64);
-                    write = Some((bank, addr, cfg.mask_word(data), byte_en));
-                }
-            }
-        }
-
-        // rising edge: read select + read address + write select +
-        // write data low half + low byte enables
-        let (rd, rbank, raddr) = match read {
-            Some((b, a)) => (1u64, b as u64, a),
-            None => (0, 0, 0),
-        };
-        let (wr, wdata_lo, bw_lo) = match write {
-            Some((_, _, d, be)) => (
-                1u64,
-                cfg.low_half(d),
-                (be & ((1 << (cfg.byte_enables() / 2)) - 1)) as u64,
-            ),
-            None => (0, 0, 0),
-        };
-        self.sim.set_u64(nets.rd_sel, rd);
-        self.sim.set_u64(nets.wr_sel, wr);
-        self.sim
-            .set_u64(nets.addr, raddr | (rbank << word_bits));
-        self.sim.set_u64(nets.wdata, wdata_lo);
-        self.sim.set_u64(nets.bw, bw_lo);
-        if let Some((net, width)) = x_target {
-            self.sim.set(net, LogicVec::xs(width));
-        }
-        self.sim.set_u64(nets.k, 1);
-        self.sim.step();
-        // capture the low output half (driven while K is high)
-        self.captured_lo = self.sim.get_u64(nets.dq);
-        at_rising(&mut self.sim);
-
-        // falling edge: write address + write data high half + high
-        // byte enables
-        let (waddr_bus, wdata_hi, bw_hi) = match write {
-            Some((b, a, d, be)) => (
-                a | ((b as u64) << word_bits),
-                cfg.high_half(d),
-                (be >> (cfg.byte_enables() / 2)) as u64,
-            ),
-            None => (0, 0, 0),
-        };
-        self.sim.set_u64(nets.addr, waddr_bus);
-        self.sim.set_u64(nets.wdata, wdata_hi);
-        self.sim.set_u64(nets.bw, bw_hi);
-        if let Some((net, width)) = x_target {
-            self.sim.set(net, LogicVec::xs(width));
-        }
-        self.sim.set_u64(nets.k, 0);
-        self.sim.step();
-
-        // merge the DDR halves per bank
-        let half = cfg.half_width();
-        for b in 0..cfg.banks as usize {
-            let dv = self.sim.get_u64(nets.dv[b]) == Some(1);
-            self.outputs[b] = if dv {
-                match (self.captured_lo, self.sim.get_u64(nets.dq)) {
-                    (Some(lo), Some(hi)) => Some(lo | (hi << half)),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-        }
-        self.cycles += 1;
-    }
-
-    /// The word a bank produced in the last completed cycle (both DDR
-    /// halves merged), if its data-valid flag was set.
-    pub fn bank_output(&self, bank: u32) -> Option<u64> {
-        self.outputs[bank as usize]
-    }
-
-    /// Whether a bank's parity checker fired at the last rising edge.
-    pub fn parity_error(&mut self, bank: u32) -> bool {
-        let net = self.design.nets.perr[bank as usize];
-        self.sim.get_u64(net) == Some(1)
-    }
-
-    /// Whether the bank's write-done register is set after the last
-    /// completed cycle.
-    pub fn write_done(&self, bank: u32) -> bool {
-        let net = self.design.nets.wdone[bank as usize];
-        self.sim.get_u64(net) == Some(1)
-    }
-
-    /// Captures the driver's complete state at a protocol-cycle
-    /// boundary: the simulator's value arena plus the DDR-merge
-    /// bookkeeping.
-    ///
-    /// # Errors
-    ///
-    /// Fails if an X injection is armed but not yet consumed (arm it
-    /// again after restoring instead).
-    pub fn snapshot_state(&self) -> Result<RtlDriverSnap, String> {
-        if self.pending_x.is_some() {
-            return Err("cannot snapshot with an armed X injection".to_string());
-        }
-        Ok(RtlDriverSnap {
-            sim: self.sim.export_state()?,
-            cycles: self.cycles,
-            captured_lo: self.captured_lo,
-            outputs: self.outputs.clone(),
-        })
-    }
-
-    /// Installs a snapshot taken from a driver over the same design.
-    ///
-    /// # Errors
-    ///
-    /// Fails without modifying the driver if the simulator state does
-    /// not fit the design (arena size, widths, RAM geometry) or the
-    /// output list has the wrong bank count.
-    pub fn restore_state(&mut self, snap: &RtlDriverSnap) -> Result<(), String> {
-        if snap.outputs.len() != self.outputs.len() {
-            return Err(format!(
-                "snapshot has {} banks, driver has {}",
-                snap.outputs.len(),
-                self.outputs.len()
-            ));
-        }
-        self.sim.import_state(&snap.sim)?;
-        self.cycles = snap.cycles;
-        self.captured_lo = snap.captured_lo;
-        self.outputs.clone_from(&snap.outputs);
-        self.pending_x = None;
-        Ok(())
-    }
-}
-
-/// A plain-data snapshot of a [`LaRtlDriver`] at a protocol-cycle
-/// boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RtlDriverSnap {
-    /// The interpreted simulator's exported state.
-    pub sim: RtlState,
-    /// Completed protocol cycles.
-    pub cycles: u64,
-    /// The low DDR half captured during the last high phase.
-    pub captured_lo: Option<u64>,
-    /// Merged output words per bank.
-    pub outputs: Vec<Option<u64>>,
-}
-
-/// Clocks the 64-lane batched (PPSFP) RTL simulator through full
-/// protocol cycles — one independent LA-1 stimulus stream per lane over
-/// a single shared netlist evaluation.
+/// Clocks the compiled RTL simulator through full protocol cycles, one
+/// independent LA-1 stimulus stream per lane of `V`.
 ///
-/// Per-lane semantics are bit-identical to running [`LaRtlDriver`] 64
-/// times: the same input encoding, the same sampling points, the same
-/// DDR half merge. The clock `K` is lane-uniform (every lane sees the
-/// same edges), which is exactly the PPSFP restriction.
+/// Its two instances are [`LaRtlDriver`] (one lane) and
+/// [`LaRtlBatchDriver`] (64 lanes over a single shared netlist
+/// evaluation). Per-lane semantics are identical in both: the same
+/// input encoding, the same sampling points, the same DDR half merge.
+/// The clock `K` is lane-uniform (every lane sees the same edges), which
+/// is exactly the PPSFP restriction.
 #[derive(Debug)]
-pub struct LaRtlBatchDriver {
+pub struct RtlDriver<V: LaneValue> {
     design: LaRtl,
-    sim: BatchedRtlSim,
+    sim: Sim<V>,
     cycles: u64,
     /// dq low half captured during the high phase, per lane
     captured_lo: Vec<Option<u64>>,
@@ -682,32 +430,31 @@ pub struct LaRtlBatchDriver {
     pending_x: Vec<Option<XPin>>,
 }
 
-impl LaRtlBatchDriver {
-    /// Creates a batched driver (the design starts with `K` low in every
-    /// lane).
+/// Clocks the scalar RTL simulator through full protocol cycles.
+pub type LaRtlDriver = RtlDriver<LogicVec>;
+
+/// Clocks the 64-lane batched (PPSFP) RTL simulator through full
+/// protocol cycles; each lane is bit-identical to a [`LaRtlDriver`] fed
+/// that lane's operations.
+pub type LaRtlBatchDriver = RtlDriver<PackedVec>;
+
+impl<V: LaneValue> RtlDriver<V> {
+    /// Creates a driver (the design starts with `K` low in every lane).
     pub fn new(design: &LaRtl) -> Self {
-        let sim = BatchedRtlSim::new(design.netlist());
         let banks = design.cfg.banks as usize;
-        LaRtlBatchDriver {
+        RtlDriver {
             design: design.clone(),
-            sim,
+            sim: Sim::new(design.netlist()),
             cycles: 0,
-            captured_lo: vec![None; LANES],
-            outputs: vec![vec![None; banks]; LANES],
-            pending_x: vec![None; LANES],
+            captured_lo: vec![None; V::LANES],
+            outputs: vec![vec![None; banks]; V::LANES],
+            pending_x: vec![None; V::LANES],
         }
     }
 
-    /// Arms a four-state X injection on one lane for the next cycle
-    /// (the batched analogue of [`LaRtlDriver::inject_x`]).
-    pub fn inject_x(&mut self, lane: usize, pin: XPin) {
-        self.pending_x[lane] = Some(pin);
-    }
-
-    /// Mutable access to the underlying batched simulator (monitor
-    /// benches probe single lanes through
-    /// [`BatchedRtlSim::lane_probe`]).
-    pub fn sim_mut(&mut self) -> &mut BatchedRtlSim {
+    /// Mutable access to the underlying simulator (OVL benches probe
+    /// through it; probe a batched lane with [`Sim::lane_probe`]).
+    pub fn sim_mut(&mut self) -> &mut Sim<V> {
         &mut self.sim
     }
 
@@ -721,10 +468,228 @@ impl LaRtlBatchDriver {
         self.design.config()
     }
 
-    /// Compiled-op evaluations performed so far; each one advances all
-    /// 64 lanes.
+    /// Compiled-op evaluations performed so far; each one advances every
+    /// lane.
     pub fn evals(&self) -> u64 {
         self.sim.evals()
+    }
+
+    /// Runs one full clock cycle with an operation list per lane (at most
+    /// one read and one write each: the single address bus allows no
+    /// more); lanes beyond `ops.len()` idle. Invokes `at_rising` once the
+    /// rising edge has settled (the OVL sampling point).
+    fn run_cycle<F: FnOnce(&mut Sim<V>)>(&mut self, ops: &[&[BankOp]], at_rising: F) {
+        assert!(ops.len() <= V::LANES, "at most {} lanes", V::LANES);
+        let RtlDriver { design, sim, .. } = self;
+        let (cfg, nets) = (&design.cfg, &design.nets);
+        let word_bits = cfg.addr_bits();
+        let low_bytes = cfg.byte_enables() / 2;
+
+        // decode and validate every lane's operations into the pin values
+        // of both edges: read select, write select, address, write data,
+        // byte enables
+        let [mut rd, mut wr, mut raddr, mut data_lo, mut bw_lo] = [V::NO_WORDS; 5];
+        let [mut waddr, mut data_hi, mut bw_hi] = [V::NO_WORDS; 3];
+        for (lane, lane_ops) in ops.iter().enumerate() {
+            for op in lane_ops.iter() {
+                match *op {
+                    BankOp::Read { bank, addr } => {
+                        assert!(
+                            rd.as_ref()[lane] == 0,
+                            "single address bus: one read per cycle"
+                        );
+                        assert!(addr < cfg.words_per_bank as u64);
+                        rd.as_mut()[lane] = 1;
+                        raddr.as_mut()[lane] = addr | ((bank as u64) << word_bits);
+                    }
+                    BankOp::Write {
+                        bank,
+                        addr,
+                        data,
+                        byte_en,
+                    } => {
+                        assert!(
+                            wr.as_ref()[lane] == 0,
+                            "single address bus: one write per cycle"
+                        );
+                        assert!(addr < cfg.words_per_bank as u64);
+                        let d = cfg.mask_word(data);
+                        wr.as_mut()[lane] = 1;
+                        data_lo.as_mut()[lane] = cfg.low_half(d);
+                        bw_lo.as_mut()[lane] = (byte_en & ((1 << low_bytes) - 1)) as u64;
+                        waddr.as_mut()[lane] = addr | ((bank as u64) << word_bits);
+                        data_hi.as_mut()[lane] = cfg.high_half(d);
+                        bw_hi.as_mut()[lane] = (byte_en >> low_bytes) as u64;
+                    }
+                }
+            }
+        }
+        let x_net = |pin: XPin| match pin {
+            XPin::ReadSel => nets.rd_sel,
+            XPin::WriteSel => nets.wr_sel,
+            XPin::Addr => nets.addr,
+            XPin::WData => nets.wdata,
+        };
+
+        // rising edge: read select + read address + write select + write
+        // data low half + low byte enables, each staged for all lanes in
+        // one bulk drive; pending X injections then overwrite their lane
+        sim.set_lanes_u64(nets.rd_sel, &rd);
+        sim.set_lanes_u64(nets.wr_sel, &wr);
+        sim.set_lanes_u64(nets.addr, &raddr);
+        sim.set_lanes_u64(nets.wdata, &data_lo);
+        sim.set_lanes_u64(nets.bw, &bw_lo);
+        for (lane, pin) in self.pending_x.iter().enumerate() {
+            if let Some(pin) = *pin {
+                sim.set_lane_xs(x_net(pin), lane);
+            }
+        }
+        sim.set_u64_all(nets.k, 1);
+        sim.step();
+        // capture the low output halves (driven while K is high)
+        let mut dq = V::NO_WORDS;
+        let known = sim.lanes_u64(nets.dq, &mut dq);
+        for (lane, lo) in self.captured_lo.iter_mut().enumerate() {
+            *lo = (known >> lane & 1 == 1).then_some(dq.as_ref()[lane]);
+        }
+        at_rising(sim);
+
+        // falling edge: write address + write data high half + high byte
+        // enables
+        sim.set_lanes_u64(nets.addr, &waddr);
+        sim.set_lanes_u64(nets.wdata, &data_hi);
+        sim.set_lanes_u64(nets.bw, &bw_hi);
+        for (lane, pin) in self.pending_x.iter_mut().enumerate() {
+            if let Some(pin) = pin.take() {
+                sim.set_lane_xs(x_net(pin), lane);
+            }
+        }
+        sim.set_u64_all(nets.k, 0);
+        sim.step();
+
+        // merge the DDR halves per lane per bank
+        let half = cfg.half_width();
+        let known_hi = sim.lanes_u64(nets.dq, &mut dq);
+        for (b, &dv) in nets.dv.iter().enumerate() {
+            let dv = sim.get(dv).lanes_one(0);
+            for (lane, out) in self.outputs.iter_mut().enumerate() {
+                out[b] = match self.captured_lo[lane] {
+                    Some(lo) if (dv & known_hi) >> lane & 1 == 1 => {
+                        Some(lo | (dq.as_ref()[lane] << half))
+                    }
+                    _ => None,
+                };
+            }
+        }
+        self.cycles += 1;
+    }
+
+    /// Whether the 1-bit net is `1` in one lane.
+    fn flag(&self, net: NetId, lane: usize) -> bool {
+        self.sim.lane_u64(net, lane) == Some(1)
+    }
+
+    /// Captures the driver's complete state at a protocol-cycle boundary:
+    /// the simulator's value arena plus the DDR-merge bookkeeping of
+    /// every lane.
+    ///
+    /// # Errors
+    ///
+    /// Fails if an X injection is armed but not yet consumed (arm it
+    /// again after restoring instead).
+    pub fn snapshot_state(&self) -> Result<DriverSnap<V::Saved>, String> {
+        if self.pending_x.iter().any(Option::is_some) {
+            return Err("cannot snapshot with an armed X injection".to_string());
+        }
+        Ok(DriverSnap {
+            sim: self.sim.export_state()?,
+            cycles: self.cycles,
+            captured_lo: self.captured_lo.clone(),
+            outputs: self.outputs.clone(),
+        })
+    }
+
+    /// Installs a snapshot taken from a driver of the same lane type over
+    /// the same design.
+    ///
+    /// # Errors
+    ///
+    /// Fails without modifying the driver if the simulator state does
+    /// not fit the design (arena size, widths, RAM geometry) or the
+    /// per-lane lists have the wrong shape.
+    pub fn restore_state(&mut self, snap: &DriverSnap<V::Saved>) -> Result<(), String> {
+        if snap.captured_lo.len() != V::LANES || snap.outputs.len() != V::LANES {
+            return Err("snapshot lane shape does not match the driver".to_string());
+        }
+        let banks = self.outputs[0].len();
+        if let Some(o) = snap.outputs.iter().find(|o| o.len() != banks) {
+            return Err(format!(
+                "snapshot has {} banks, driver has {banks}",
+                o.len()
+            ));
+        }
+        self.sim.import_state(&snap.sim)?;
+        self.cycles = snap.cycles;
+        self.captured_lo.clone_from(&snap.captured_lo);
+        self.outputs.clone_from(&snap.outputs);
+        self.pending_x.fill(None);
+        Ok(())
+    }
+}
+
+impl LaRtlDriver {
+    /// Arms a four-state X injection: during the next [`Self::cycle`]
+    /// the chosen input pin is driven with all-X on both clock edges,
+    /// overriding whatever the operations would drive. Whatever the
+    /// design samples from that pin (a write word, an address, a select)
+    /// becomes X and propagates through the state like a real unknown.
+    pub fn inject_x(&mut self, pin: XPin) {
+        self.pending_x[0] = Some(pin);
+    }
+
+    /// Runs one full clock cycle with at most one read and one write
+    /// (the single address bus allows no more).
+    ///
+    /// Callers that need the paper's rising-edge sampling of OVL
+    /// monitors should use [`Self::cycle_with`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than one read or write is supplied, or if an
+    /// address is out of range.
+    pub fn cycle(&mut self, ops: &[BankOp]) {
+        self.run_cycle(&[ops], |_| {});
+    }
+
+    /// Like [`Self::cycle`], invoking `at_rising` once the rising edge
+    /// has settled (the OVL sampling point).
+    pub fn cycle_with<F: FnOnce(&mut RtlSim)>(&mut self, ops: &[BankOp], at_rising: F) {
+        self.run_cycle(&[ops], at_rising);
+    }
+
+    /// The word a bank produced in the last completed cycle (both DDR
+    /// halves merged), if its data-valid flag was set.
+    pub fn bank_output(&self, bank: u32) -> Option<u64> {
+        self.outputs[0][bank as usize]
+    }
+
+    /// Whether a bank's parity checker fired at the last rising edge.
+    pub fn parity_error(&mut self, bank: u32) -> bool {
+        self.flag(self.design.nets.perr[bank as usize], 0)
+    }
+
+    /// Whether the bank's write-done register is set after the last
+    /// completed cycle.
+    pub fn write_done(&self, bank: u32) -> bool {
+        self.flag(self.design.nets.wdone[bank as usize], 0)
+    }
+}
+
+impl LaRtlBatchDriver {
+    /// Arms a four-state X injection on one lane for the next cycle
+    /// (the batched analogue of [`LaRtlDriver::inject_x`]).
+    pub fn inject_x(&mut self, lane: usize, pin: XPin) {
+        self.pending_x[lane] = Some(pin);
     }
 
     /// Runs one full clock cycle with an independent operation list per
@@ -734,146 +699,16 @@ impl LaRtlBatchDriver {
     /// # Panics
     ///
     /// Panics under the same conditions as [`LaRtlDriver::cycle`], or if
-    /// more than [`LANES`] operation lists are supplied.
+    /// more than [`la1_rtl::LANES`] operation lists are supplied.
     pub fn cycle(&mut self, ops: &[&[BankOp]]) {
-        self.cycle_with(ops, |_| {});
+        self.run_cycle(ops, |_| {});
     }
 
     /// Like [`Self::cycle`], invoking `at_rising` once the rising edge
     /// has settled (the OVL sampling point; probe individual lanes with
-    /// [`BatchedRtlSim::lane_probe`]).
+    /// [`Sim::lane_probe`]).
     pub fn cycle_with<F: FnOnce(&mut BatchedRtlSim)>(&mut self, ops: &[&[BankOp]], at_rising: F) {
-        assert!(ops.len() <= LANES, "at most {LANES} lanes");
-        let cfg = self.design.cfg.clone();
-        let nets = self.design.nets.clone();
-        let word_bits = cfg.addr_bits();
-        let half = cfg.half_width();
-
-        // decode each lane's operations once, with the scalar driver's
-        // exact validation
-        let mut reads = [None; LANES];
-        let mut writes = [None; LANES];
-        for (lane, lane_ops) in ops.iter().enumerate() {
-            for op in lane_ops.iter() {
-                match *op {
-                    BankOp::Read { bank, addr } => {
-                        assert!(
-                            reads[lane].is_none(),
-                            "single address bus: one read per cycle"
-                        );
-                        assert!(addr < cfg.words_per_bank as u64);
-                        reads[lane] = Some((bank, addr));
-                    }
-                    BankOp::Write {
-                        bank,
-                        addr,
-                        data,
-                        byte_en,
-                    } => {
-                        assert!(
-                            writes[lane].is_none(),
-                            "single address bus: one write per cycle"
-                        );
-                        assert!(addr < cfg.words_per_bank as u64);
-                        writes[lane] = Some((bank, addr, cfg.mask_word(data), byte_en));
-                    }
-                }
-            }
-        }
-        let x_target = |pin: XPin| -> NetId {
-            match pin {
-                XPin::ReadSel => nets.rd_sel,
-                XPin::WriteSel => nets.wr_sel,
-                XPin::Addr => nets.addr,
-                XPin::WData => nets.wdata,
-            }
-        };
-
-        // rising edge: read select + read address + write select +
-        // write data low half + low byte enables. All lanes of each
-        // input are staged through one transposed bulk drive
-        // (semantically 64 per-lane sets; see PackedVec::set_lanes_u64),
-        // then the rare pending X injections overwrite their lane.
-        let mut rd_v = [0u64; LANES];
-        let mut wr_v = [0u64; LANES];
-        let mut addr_v = [0u64; LANES];
-        let mut data_v = [0u64; LANES];
-        let mut bw_v = [0u64; LANES];
-        for lane in 0..LANES {
-            if let Some((b, a)) = reads[lane] {
-                rd_v[lane] = 1;
-                addr_v[lane] = a | ((b as u64) << word_bits);
-            }
-            if let Some((_, _, d, be)) = writes[lane] {
-                wr_v[lane] = 1;
-                data_v[lane] = cfg.low_half(d);
-                bw_v[lane] = (be & ((1 << (cfg.byte_enables() / 2)) - 1)) as u64;
-            }
-        }
-        self.sim.set_lanes_u64(nets.rd_sel, &rd_v);
-        self.sim.set_lanes_u64(nets.wr_sel, &wr_v);
-        self.sim.set_lanes_u64(nets.addr, &addr_v);
-        self.sim.set_lanes_u64(nets.wdata, &data_v);
-        self.sim.set_lanes_u64(nets.bw, &bw_v);
-        for lane in 0..LANES {
-            if let Some(pin) = self.pending_x[lane] {
-                self.sim.set_lane_xs(x_target(pin), lane);
-            }
-        }
-        self.sim.set_u64_all(nets.k, 1);
-        self.sim.step();
-        // capture the low output halves (driven while K is high)
-        let mut dq = [0u64; LANES];
-        let known = self.sim.lanes_u64(nets.dq, &mut dq);
-        for (lane, &q) in dq.iter().enumerate() {
-            self.captured_lo[lane] = (known >> lane & 1 == 1).then_some(q);
-        }
-        at_rising(&mut self.sim);
-
-        // falling edge: write address + write data high half + high
-        // byte enables
-        for lane in 0..LANES {
-            let (waddr_bus, wdata_hi, bw_hi) = match writes[lane] {
-                Some((b, a, d, be)) => (
-                    a | ((b as u64) << word_bits),
-                    cfg.high_half(d),
-                    (be >> (cfg.byte_enables() / 2)) as u64,
-                ),
-                None => (0, 0, 0),
-            };
-            addr_v[lane] = waddr_bus;
-            data_v[lane] = wdata_hi;
-            bw_v[lane] = bw_hi;
-        }
-        self.sim.set_lanes_u64(nets.addr, &addr_v);
-        self.sim.set_lanes_u64(nets.wdata, &data_v);
-        self.sim.set_lanes_u64(nets.bw, &bw_v);
-        for lane in 0..LANES {
-            if let Some(pin) = self.pending_x[lane].take() {
-                self.sim.set_lane_xs(x_target(pin), lane);
-            }
-        }
-        self.sim.set_u64_all(nets.k, 0);
-        self.sim.step();
-
-        // merge the DDR halves per lane per bank (high halves bulk-read
-        // once, per-bank data-valid flags read plane-wise)
-        let known_hi = self.sim.lanes_u64(nets.dq, &mut dq);
-        for b in 0..cfg.banks as usize {
-            let dv_ones = self.sim.get(nets.dv[b]).lanes_bit_is_one(0);
-            for (lane, &q) in dq.iter().enumerate() {
-                self.outputs[lane][b] = if dv_ones >> lane & 1 == 1 {
-                    let hi = (known_hi >> lane & 1 == 1).then_some(q);
-                    match (self.captured_lo[lane], hi) {
-                        (Some(lo), Some(hi)) => Some(lo | (hi << half)),
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-            }
-        }
-        self.cycles += 1;
+        self.run_cycle(ops, at_rising);
     }
 
     /// The word a bank produced for one lane in the last completed
@@ -885,65 +720,22 @@ impl LaRtlBatchDriver {
     /// Whether a bank's parity checker fired in one lane at the last
     /// rising edge.
     pub fn parity_error(&self, lane: usize, bank: u32) -> bool {
-        let net = self.design.nets.perr[bank as usize];
-        self.sim.lane_u64(net, lane) == Some(1)
+        self.flag(self.design.nets.perr[bank as usize], lane)
     }
 
     /// Whether the bank's write-done register is set in one lane after
     /// the last completed cycle.
     pub fn write_done(&self, lane: usize, bank: u32) -> bool {
-        let net = self.design.nets.wdone[bank as usize];
-        self.sim.lane_u64(net, lane) == Some(1)
-    }
-
-    /// Captures the batched driver's complete state at a protocol-cycle
-    /// boundary — all 64 lanes at once.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any lane has an armed, unconsumed X injection.
-    pub fn snapshot_state(&self) -> Result<RtlBatchDriverSnap, String> {
-        if self.pending_x.iter().any(Option::is_some) {
-            return Err("cannot snapshot with an armed X injection".to_string());
-        }
-        Ok(RtlBatchDriverSnap {
-            sim: self.sim.export_state()?,
-            cycles: self.cycles,
-            captured_lo: self.captured_lo.clone(),
-            outputs: self.outputs.clone(),
-        })
-    }
-
-    /// Installs a snapshot taken from a batched driver over the same
-    /// design.
-    ///
-    /// # Errors
-    ///
-    /// Fails without modifying the driver if the simulator state does
-    /// not fit the design or the per-lane output lists have the wrong
-    /// shape.
-    pub fn restore_state(&mut self, snap: &RtlBatchDriverSnap) -> Result<(), String> {
-        if snap.captured_lo.len() != LANES
-            || snap.outputs.len() != LANES
-            || snap.outputs.iter().any(|o| o.len() != self.outputs[0].len())
-        {
-            return Err("snapshot lane shape does not match the driver".to_string());
-        }
-        self.sim.import_state(&snap.sim)?;
-        self.cycles = snap.cycles;
-        self.captured_lo.clone_from(&snap.captured_lo);
-        self.outputs.clone_from(&snap.outputs);
-        self.pending_x.fill(None);
-        Ok(())
+        self.flag(self.design.nets.wdone[bank as usize], lane)
     }
 }
 
-/// A plain-data snapshot of a [`LaRtlBatchDriver`] at a protocol-cycle
-/// boundary.
+/// A plain-data snapshot of an [`RtlDriver`] at a protocol-cycle
+/// boundary; `S` is the lane type's checkpoint encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RtlBatchDriverSnap {
-    /// The batched simulator's exported state (bit-plane encoded).
-    pub sim: BatchedRtlState,
+pub struct DriverSnap<S> {
+    /// The simulator's exported state.
+    pub sim: SimState<S>,
     /// Completed protocol cycles (lane-uniform).
     pub cycles: u64,
     /// The low DDR half captured during the last high phase, per lane.
@@ -951,6 +743,12 @@ pub struct RtlBatchDriverSnap {
     /// Merged output words per lane per bank.
     pub outputs: Vec<Vec<Option<u64>>>,
 }
+
+/// A [`LaRtlDriver`] snapshot (one lane, four-state strings).
+pub type RtlDriverSnap = DriverSnap<String>;
+
+/// A [`LaRtlBatchDriver`] snapshot (64 lanes, bit-plane encoded).
+pub type RtlBatchDriverSnap = DriverSnap<(Vec<u64>, Vec<u64>)>;
 
 /// A ripple-carry incrementer: `net + 1` truncated to `width` bits.
 fn increment(net: NetId, width: u32) -> Expr {

@@ -14,10 +14,13 @@
 //!   synchronous-write/asynchronous-read RAM blocks with per-bit write
 //!   masks (byte write control), and tristate drivers (the paper connects
 //!   multi-bank control signals "using tristate buffers");
-//! * [`RtlSim`] — an interpreted event/cycle simulator: apply inputs,
-//!   settle combinational logic, capture clocked elements on detected
-//!   edges, settle again. Interpretation cost per cycle is the point of
-//!   the paper's Table 3 (compiled SystemC vs. interpreted HDL);
+//! * [`Sim`] — one compiled cycle simulator (apply inputs, settle
+//!   combinational logic, capture clocked elements on detected edges,
+//!   settle again), generic over the [`LaneValue`] an arena slot holds.
+//!   It has two instances: [`RtlSim`] (one lane of [`LogicVec`]) and
+//!   [`BatchedRtlSim`] (64 lanes of [`PackedVec`], one pattern per word
+//!   bit). Interpretation cost per cycle is the point of the paper's
+//!   Table 3 (compiled SystemC vs. interpreted HDL);
 //! * [`TransitionSystem`] — a bit-blasted next-state-function view of a
 //!   two-valued netlist for the `la1-smc` symbolic model checker
 //!   ([`Netlist::extract`]);
@@ -46,8 +49,8 @@
 //! assert_eq!(sim.get(q).to_u64(), Some(1));
 //! ```
 
-mod batched;
 mod extract;
+mod lane;
 mod logic;
 mod netlist;
 mod packed;
@@ -56,12 +59,15 @@ mod sim;
 mod vcd;
 mod verilog;
 
-pub use batched::{BatchedRtlSim, BatchedRtlState, LaneProbe};
 pub use extract::{BitExpr, BitId, TransitionSystem};
+pub use lane::LaneValue;
 pub use logic::{Logic, LogicVec};
 pub use netlist::{Edge, Expr, Item, NetId, NetKind, Netlist};
-pub use packed::{PackedVec, LANES};
-pub use sim::{RtlProbe, RtlSim, RtlState, SettleMode};
+pub use packed::{PackedVec, PackedWritePort, LANES};
+pub use sim::{
+    BatchedRtlSim, BatchedRtlState, LaneProbe, RtlProbe, RtlSim, RtlState, SettleMode, Sim,
+    SimState,
+};
 pub use vcd::VcdWriter;
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Four-state logic values and vectors.
 
+use crate::lane::LaneValue;
 use std::fmt;
 
 /// A single four-state logic value (IEEE 1364).
@@ -18,6 +19,7 @@ pub enum Logic {
 
 impl Logic {
     /// Converts a `bool`.
+    #[inline]
     pub fn from_bool(b: bool) -> Logic {
         if b {
             Logic::L1
@@ -27,6 +29,7 @@ impl Logic {
     }
 
     /// The definite Boolean value, if any (`X`/`Z` yield `None`).
+    #[inline]
     pub fn to_bool(self) -> Option<bool> {
         match self {
             Logic::L0 => Some(false),
@@ -42,6 +45,7 @@ impl Logic {
 
     /// Logical negation; `X`/`Z` stay unknown.
     #[allow(clippy::should_implement_trait)] // deliberate: `Logic` is not Boolean
+    #[inline]
     pub fn not(self) -> Logic {
         match self {
             Logic::L0 => Logic::L1,
@@ -51,6 +55,7 @@ impl Logic {
     }
 
     /// Logical and; `0` is dominant.
+    #[inline]
     pub fn and(self, other: Logic) -> Logic {
         match (self.to_bool(), other.to_bool()) {
             (Some(false), _) | (_, Some(false)) => Logic::L0,
@@ -60,6 +65,7 @@ impl Logic {
     }
 
     /// Logical or; `1` is dominant.
+    #[inline]
     pub fn or(self, other: Logic) -> Logic {
         match (self.to_bool(), other.to_bool()) {
             (Some(true), _) | (_, Some(true)) => Logic::L1,
@@ -69,6 +75,7 @@ impl Logic {
     }
 
     /// Exclusive or; unknown if either side is unknown.
+    #[inline]
     pub fn xor(self, other: Logic) -> Logic {
         match (self.to_bool(), other.to_bool()) {
             (Some(a), Some(b)) => Logic::from_bool(a ^ b),
@@ -99,6 +106,7 @@ impl Logic {
 
     /// Wired resolution of two drivers: `Z` yields to the other driver,
     /// agreement keeps the value, conflict is `X`.
+    #[inline]
     pub fn resolve(self, other: Logic) -> Logic {
         match (self, other) {
             (Logic::Z, o) => o,
@@ -128,7 +136,7 @@ impl From<bool> for Logic {
 }
 
 /// A fixed-width vector of four-state values; bit 0 is the LSB.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct LogicVec {
     bits: Vec<Logic>,
 }
@@ -182,6 +190,7 @@ impl LogicVec {
     }
 
     /// The numeric value, if every bit is known and width ≤ 64.
+    #[inline]
     pub fn to_u64(&self) -> Option<u64> {
         if self.bits.len() > 64 {
             return None;
@@ -198,6 +207,7 @@ impl LogicVec {
     }
 
     /// Width in bits.
+    #[inline]
     pub fn width(&self) -> u32 {
         self.bits.len() as u32
     }
@@ -238,11 +248,13 @@ impl LogicVec {
     }
 
     /// True if every bit is `0` or `1`.
+    #[inline]
     pub fn is_known(&self) -> bool {
         self.bits.iter().all(|b| b.is_known())
     }
 
     /// Bitwise reduction XOR (the parity of the vector).
+    #[inline]
     pub fn reduce_xor(&self) -> Logic {
         self.bits
             .iter()
@@ -251,27 +263,9 @@ impl LogicVec {
     }
 
     /// Bitwise reduction OR.
+    #[inline]
     pub fn reduce_or(&self) -> Logic {
         self.bits.iter().copied().fold(Logic::L0, |acc, b| acc.or(b))
-    }
-
-    /// The bits as a slice (LSB first) — for the compiled simulator's
-    /// in-place evaluation.
-    pub(crate) fn bits_raw(&self) -> &[Logic] {
-        &self.bits
-    }
-
-    /// The bits as a mutable slice (LSB first).
-    pub(crate) fn bits_raw_mut(&mut self) -> &mut [Logic] {
-        &mut self.bits
-    }
-
-    /// Overwrites `self` with `other`'s bits, reusing the existing
-    /// allocation when the capacity suffices (the compiled simulator's
-    /// allocation-free copy).
-    pub(crate) fn assign_from(&mut self, other: &LogicVec) {
-        self.bits.clear();
-        self.bits.extend_from_slice(&other.bits);
     }
 
     /// Per-bit wired resolution of two equal-width vectors.
@@ -298,5 +292,252 @@ impl fmt::Display for LogicVec {
             write!(f, "{b}")?;
         }
         Ok(())
+    }
+}
+
+/// The 1-lane instance: [`RtlSim`](crate::RtlSim)'s arena value. RAM
+/// accesses index the addressed word directly, and the write is built in
+/// the port's arena slot at the edge.
+impl LaneValue for LogicVec {
+    const LANES: usize = 1;
+    const ALL: u64 = 1;
+    type Words = [u64; 1];
+    const NO_WORDS: [u64; 1] = [0];
+    /// the sampled word address
+    type WritePort = usize;
+    /// MSB-first four-state text
+    type Saved = String;
+
+    fn zeros(width: u32) -> Self {
+        LogicVec::zeros(width)
+    }
+
+    fn xs(width: u32) -> Self {
+        LogicVec::xs(width)
+    }
+
+    fn splat(value: &LogicVec) -> Self {
+        value.clone()
+    }
+
+    #[inline]
+    fn width(&self) -> u32 {
+        LogicVec::width(self)
+    }
+
+    #[inline]
+    fn assign_from(&mut self, src: &Self) {
+        self.bits.copy_from_slice(&src.bits);
+    }
+
+    #[inline]
+    fn index_from(&mut self, a: &Self, bit: u32) {
+        self.bits[0] = a.bits[bit as usize];
+    }
+
+    #[inline]
+    fn slice_from(&mut self, a: &Self, lo: u32) {
+        let lo = lo as usize;
+        let w = self.bits.len();
+        self.bits.copy_from_slice(&a.bits[lo..lo + w]);
+    }
+
+    #[inline]
+    fn place_from(&mut self, lo: u32, a: &Self) {
+        let lo = lo as usize;
+        self.bits[lo..lo + a.bits.len()].copy_from_slice(&a.bits);
+    }
+
+    #[inline]
+    fn not_from(&mut self, a: &Self) {
+        for (o, s) in self.bits.iter_mut().zip(&a.bits) {
+            *o = s.not();
+        }
+    }
+
+    #[inline]
+    fn and_from(&mut self, a: &Self, b: &Self) {
+        for (i, o) in self.bits.iter_mut().enumerate() {
+            *o = a.bits[i].and(b.bits[i]);
+        }
+    }
+
+    #[inline]
+    fn or_from(&mut self, a: &Self, b: &Self) {
+        for (i, o) in self.bits.iter_mut().enumerate() {
+            *o = a.bits[i].or(b.bits[i]);
+        }
+    }
+
+    #[inline]
+    fn xor_from(&mut self, a: &Self, b: &Self) {
+        for (i, o) in self.bits.iter_mut().enumerate() {
+            *o = a.bits[i].xor(b.bits[i]);
+        }
+    }
+
+    #[inline]
+    fn eq_from(&mut self, a: &Self, b: &Self) {
+        self.bits[0] = if !a.is_known() || !b.is_known() {
+            Logic::X
+        } else {
+            Logic::from_bool(a == b)
+        };
+    }
+
+    #[inline]
+    fn mux_from(&mut self, sel: &Self, a: &Self, b: &Self) {
+        match sel.bits[0] {
+            Logic::L1 => self.bits.copy_from_slice(&a.bits),
+            Logic::L0 => self.bits.copy_from_slice(&b.bits),
+            _ => self.bits.fill(Logic::X),
+        }
+    }
+
+    #[inline]
+    fn reduce_xor_from(&mut self, a: &Self) {
+        self.bits[0] = a.reduce_xor();
+    }
+
+    #[inline]
+    fn reduce_or_from(&mut self, a: &Self) {
+        self.bits[0] = a.reduce_or();
+    }
+
+    #[inline]
+    fn fill_z(&mut self) {
+        self.bits.fill(Logic::Z);
+    }
+
+    #[inline]
+    fn tri_accumulate(&mut self, en: &Self, val: &Self) {
+        let en = en.bits[0];
+        for (o, &v) in self.bits.iter_mut().zip(&val.bits) {
+            let contribution = match en {
+                Logic::L1 => v,
+                Logic::L0 => Logic::Z,
+                _ => Logic::X,
+            };
+            *o = o.resolve(contribution);
+        }
+    }
+
+    #[inline]
+    fn lanes_one(&self, bit: u32) -> u64 {
+        (self.bits[bit as usize] == Logic::L1) as u64
+    }
+
+    #[inline]
+    fn clock_bit(&self) -> Logic {
+        self.bits[0]
+    }
+
+    #[inline]
+    fn merge_masked_changed(&mut self, src: &Self, mask: u64) -> bool {
+        if mask & 1 == 0 || *self == *src {
+            return false;
+        }
+        LaneValue::assign_from(self, src);
+        true
+    }
+
+    #[inline]
+    fn lane_bit(&self, _lane: usize, bit: u32) -> Logic {
+        self.bits[bit as usize]
+    }
+
+    fn get_lane(&self, _lane: usize) -> LogicVec {
+        self.clone()
+    }
+
+    fn lane_slice(&self, _lane: usize, hi: u32, lo: u32) -> LogicVec {
+        self.slice(hi, lo)
+    }
+
+    #[inline]
+    fn lane_to_u64(&self, _lane: usize) -> Option<u64> {
+        self.to_u64()
+    }
+
+    #[inline]
+    fn set_all_lanes_u64(&mut self, value: u64) {
+        for (i, o) in self.bits.iter_mut().enumerate() {
+            *o = Logic::from_bool(i < 64 && value >> i & 1 == 1);
+        }
+    }
+
+    #[inline]
+    fn set_lanes_u64(&mut self, vals: &[u64; 1]) {
+        self.set_all_lanes_u64(vals[0]);
+    }
+
+    #[inline]
+    fn set_lane_xs(&mut self, _lane: usize) {
+        self.bits.fill(Logic::X);
+    }
+
+    #[inline]
+    fn lanes_u64(&self, out: &mut [u64; 1]) -> u64 {
+        let v = self.to_u64();
+        out[0] = v.unwrap_or(0);
+        v.is_some() as u64
+    }
+
+    #[inline]
+    fn ram_gather(&mut self, addr: &Self, ram: &[Self]) {
+        match addr.to_u64() {
+            Some(a) if a < ram.len() as u64 => LaneValue::assign_from(self, &ram[a as usize]),
+            _ => self.bits.fill(Logic::X),
+        }
+    }
+
+    fn write_port(_words: u32, _width: u32, _masked: bool) -> usize {
+        0
+    }
+
+    #[inline]
+    fn ram_select(port: &mut usize, _we: u64, addr: &Self, words: u32) -> bool {
+        match addr.to_u64() {
+            Some(a) if a < words as u64 => {
+                *port = a as usize;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    #[inline]
+    fn ram_sample(
+        port: &mut usize,
+        word: &mut Self,
+        ram: &[Self],
+        data: &Self,
+        mask: Option<&Self>,
+    ) {
+        // read-modify-write the addressed word into the port's slot
+        LaneValue::assign_from(word, &ram[*port]);
+        match mask {
+            Some(mask) => {
+                for (i, w) in word.bits.iter_mut().enumerate() {
+                    if mask.bits[i] == Logic::L1 {
+                        *w = data.bits[i];
+                    }
+                }
+            }
+            None => word.bits.copy_from_slice(&data.bits),
+        }
+    }
+
+    #[inline]
+    fn ram_commit(port: &usize, word: &Self, ram: &mut [Self]) -> bool {
+        ram[*port].merge_masked_changed(word, 1)
+    }
+
+    fn save(&self) -> String {
+        self.to_string()
+    }
+
+    fn restore(width: u32, saved: &String) -> Option<Self> {
+        LogicVec::parse_fourstate(saved).filter(|v| v.width() == width)
     }
 }

@@ -24,13 +24,14 @@
 //! `resolve`, reduction operators, whole-vector `Eq`); the proptests in
 //! `tests.rs` pit each one against the scalar fold lane by lane.
 
+use crate::lane::LaneValue;
 use crate::logic::{Logic, LogicVec};
 
 /// Number of independent patterns evaluated per pass (one per `u64` bit).
 pub const LANES: usize = 64;
 
 /// 64 four-state vectors of one width, stored as two bit-planes per bit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PackedVec {
     width: u32,
     /// value plane, one word per bit position (lane = word bit)
@@ -60,53 +61,6 @@ fn decode(v: bool, x: bool) -> Logic {
 }
 
 impl PackedVec {
-    /// All lanes all-`0`.
-    pub fn zeros(width: u32) -> Self {
-        PackedVec {
-            width,
-            v: vec![0; width as usize],
-            x: vec![0; width as usize],
-        }
-    }
-
-    /// All lanes all-`X`.
-    pub fn xs(width: u32) -> Self {
-        PackedVec {
-            width,
-            v: vec![0; width as usize],
-            x: vec![!0; width as usize],
-        }
-    }
-
-    /// All lanes all-`Z`.
-    pub fn zs(width: u32) -> Self {
-        PackedVec {
-            width,
-            v: vec![!0; width as usize],
-            x: vec![!0; width as usize],
-        }
-    }
-
-    /// Every lane set to the same scalar vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths cannot match (never: width is taken from `value`).
-    pub fn splat(value: &LogicVec) -> Self {
-        let mut p = PackedVec::zeros(value.width());
-        for (i, b) in value.iter().enumerate() {
-            let (v, x) = encode(b);
-            p.v[i] = if v { !0 } else { 0 };
-            p.x[i] = if x { !0 } else { 0 };
-        }
-        p
-    }
-
-    /// Width in bits of each lane's vector.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
     /// The two raw bit-planes, one word per bit position (lane = word
     /// bit): `(value plane, unknown/impedance plane)`. The checkpoint
     /// layer serializes packed state through this view; everything else
@@ -122,23 +76,6 @@ impl PackedVec {
             return None;
         }
         Some(PackedVec { width, v, x })
-    }
-
-    /// The four-state value of one bit in one lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit` is out of range or `lane >= LANES`.
-    pub fn lane_bit(&self, lane: usize, bit: u32) -> Logic {
-        assert!(lane < LANES);
-        let v = self.v[bit as usize] >> lane & 1 == 1;
-        let x = self.x[bit as usize] >> lane & 1 == 1;
-        decode(v, x)
-    }
-
-    /// Extracts one lane as a scalar vector (allocates).
-    pub fn get_lane(&self, lane: usize) -> LogicVec {
-        LogicVec::from_bits((0..self.width).map(|i| self.lane_bit(lane, i)).collect())
     }
 
     /// Overwrites one lane from a scalar vector.
@@ -172,69 +109,13 @@ impl PackedVec {
         }
     }
 
-    /// Sets one lane to all-`X` (X-injection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= LANES`.
-    pub fn set_lane_xs(&mut self, lane: usize) {
-        assert!(lane < LANES);
-        let m = 1u64 << lane;
-        for i in 0..self.width as usize {
-            self.v[i] &= !m;
-            self.x[i] |= m;
-        }
-    }
-
-    /// The lane's numeric value, if every bit is known and width ≤ 64.
-    pub fn lane_to_u64(&self, lane: usize) -> Option<u64> {
+    /// Lanes whose vector is fully known **and** equals `value`; no lane
+    /// when the width exceeds 64 (such an address selects no word).
+    #[inline]
+    fn lanes_eq_u64(&self, value: u64) -> u64 {
         if self.width > 64 {
-            return None;
+            return 0;
         }
-        let m = 1u64 << lane;
-        let mut out = 0u64;
-        for i in 0..self.width as usize {
-            if self.x[i] & m != 0 {
-                return None;
-            }
-            if self.v[i] & m != 0 {
-                out |= 1 << i;
-            }
-        }
-        Some(out)
-    }
-
-    /// Lanes (as a bitmask) where `bit` is exactly `1`.
-    pub fn lanes_bit_is_one(&self, bit: u32) -> u64 {
-        self.v[bit as usize] & !self.x[bit as usize]
-    }
-
-    /// Lanes where `bit` is exactly `0`.
-    pub fn lanes_bit_is_zero(&self, bit: u32) -> u64 {
-        !self.v[bit as usize] & !self.x[bit as usize]
-    }
-
-    /// Lanes where `bit` is `X` or `Z`.
-    pub fn lanes_bit_unknown(&self, bit: u32) -> u64 {
-        self.x[bit as usize]
-    }
-
-    /// Lanes where **every** bit is known (`0`/`1`).
-    pub fn lanes_known(&self) -> u64 {
-        let mut m = !0u64;
-        for x in &self.x {
-            m &= !x;
-        }
-        m
-    }
-
-    /// Lanes whose vector is fully known **and** equals `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the width exceeds 64.
-    pub fn lanes_eq_u64(&self, value: u64) -> u64 {
-        assert!(self.width <= 64, "lanes_eq_u64 needs width ≤ 64");
         let mut m = !0u64;
         for i in 0..self.width as usize {
             let want_one = value >> i & 1 == 1;
@@ -243,71 +124,146 @@ impl PackedVec {
         m
     }
 
-    /// True when every lane carries the same value at `bit` — the
-    /// lane-uniformity invariant required of clock nets.
-    pub fn bit_uniform(&self, bit: u32) -> bool {
-        let (v, x) = (self.v[bit as usize], self.x[bit as usize]);
-        (v == 0 || v == !0) && (x == 0 || x == !0)
+    /// Per-lane wired resolution of two equal-width packed vectors,
+    /// written into `self` (may alias neither operand).
+    pub fn resolve_from(&mut self, a: &PackedVec, b: &PackedVec) {
+        for i in 0..self.width as usize {
+            let za = a.v[i] & a.x[i];
+            let zb = b.v[i] & b.x[i];
+            let same = !(a.v[i] ^ b.v[i]) & !(a.x[i] ^ b.x[i]);
+            self.v[i] = (za & b.v[i]) | (!za & zb & a.v[i]) | (!za & !zb & same & a.v[i]);
+            self.x[i] = (za & b.x[i]) | (!za & zb & a.x[i]) | (!za & !zb & (same & a.x[i] | !same));
+        }
     }
 
-    /// Overwrites `self` with `other` (equal widths, allocation-free).
-    pub(crate) fn assign_from(&mut self, other: &PackedVec) {
+    /// The RAM-write commit: bit `i` of the lanes in `base_mask` (and,
+    /// when a write mask is present, whose mask bit is exactly `1` in
+    /// that lane) takes `src`'s bit; everything else keeps the stored
+    /// word. Returns whether any lane's bit changed.
+    #[inline]
+    fn ram_write_masked(
+        &mut self,
+        src: &PackedVec,
+        base_mask: u64,
+        wmask: Option<&PackedVec>,
+    ) -> bool {
+        let mut changed = false;
+        for i in 0..self.width as usize {
+            let m = base_mask & wmask.map_or(!0, |w| w.v[i] & !w.x[i]);
+            let nv = self.v[i] & !m | src.v[i] & m;
+            let nx = self.x[i] & !m | src.x[i] & m;
+            changed |= nv != self.v[i] || nx != self.x[i];
+            self.v[i] = nv;
+            self.x[i] = nx;
+        }
+        changed
+    }
+
+    /// Sets every lane to the same scalar vector (allocation-free
+    /// [`LaneValue::splat`] into an existing buffer).
+    ///
+    /// # Panics
+    ///
+    /// Panics on width mismatch.
+    pub fn set_all_lanes(&mut self, value: &LogicVec) {
+        assert_eq!(self.width, value.width(), "width mismatch");
+        for (i, b) in value.iter().enumerate() {
+            let (v, x) = encode(b);
+            self.v[i] = if v { !0 } else { 0 };
+            self.x[i] = if x { !0 } else { 0 };
+        }
+    }
+}
+
+/// A batched RAM write port between the edge sample and the commit.
+#[derive(Debug, Clone)]
+pub struct PackedWritePort {
+    /// per word: the lanes writing it
+    sel: Vec<u64>,
+    /// write data sampled at the edge
+    data: PackedVec,
+    /// write mask sampled at the edge
+    mask: Option<PackedVec>,
+}
+
+/// The 64-lane instance: [`BatchedRtlSim`](crate::BatchedRtlSim)'s arena
+/// value. RAM accesses build one lane mask per word; clocks must be
+/// lane-uniform.
+impl LaneValue for PackedVec {
+    const LANES: usize = LANES;
+    const ALL: u64 = !0;
+    type Words = [u64; LANES];
+    const NO_WORDS: [u64; LANES] = [0; LANES];
+    type WritePort = PackedWritePort;
+    /// `(value plane, X plane)`
+    type Saved = (Vec<u64>, Vec<u64>);
+
+    fn zeros(width: u32) -> Self {
+        PackedVec {
+            width,
+            v: vec![0; width as usize],
+            x: vec![0; width as usize],
+        }
+    }
+
+    fn xs(width: u32) -> Self {
+        PackedVec {
+            width,
+            v: vec![0; width as usize],
+            x: vec![!0; width as usize],
+        }
+    }
+
+    fn splat(value: &LogicVec) -> Self {
+        let mut p = PackedVec::zeros(value.width());
+        p.set_all_lanes(value);
+        p
+    }
+
+    #[inline]
+    fn width(&self) -> u32 {
+        self.width
+    }
+
+    #[inline]
+    fn assign_from(&mut self, other: &PackedVec) {
         debug_assert_eq!(self.width, other.width);
         self.v.copy_from_slice(&other.v);
         self.x.copy_from_slice(&other.x);
     }
 
-    /// Sets every bit of every lane to `Z`.
-    pub fn fill_z(&mut self) {
-        self.v.fill(!0);
-        self.x.fill(!0);
-    }
-
-    /// Sets every bit of every lane to `X`.
-    pub fn fill_x(&mut self) {
-        self.v.fill(0);
-        self.x.fill(!0);
-    }
-
-    // --- compiled-op kernels: `self` is the dedicated destination ---
-
-    /// `self = a`.
-    pub fn copy_from(&mut self, a: &PackedVec) {
-        self.assign_from(a);
-    }
-
-    /// `self[0] = a[bit]`.
-    pub fn index_from(&mut self, a: &PackedVec, bit: u32) {
+    #[inline]
+    fn index_from(&mut self, a: &PackedVec, bit: u32) {
         self.v[0] = a.v[bit as usize];
         self.x[0] = a.x[bit as usize];
     }
 
-    /// `self = a[lo +: width(self)]`.
-    pub fn slice_from(&mut self, a: &PackedVec, lo: u32) {
+    #[inline]
+    fn slice_from(&mut self, a: &PackedVec, lo: u32) {
         let lo = lo as usize;
         let w = self.width as usize;
         self.v.copy_from_slice(&a.v[lo..lo + w]);
         self.x.copy_from_slice(&a.x[lo..lo + w]);
     }
 
-    /// Places `a` into `self` starting at bit `lo` (concat parts).
-    pub fn place_from(&mut self, lo: u32, a: &PackedVec) {
+    #[inline]
+    fn place_from(&mut self, lo: u32, a: &PackedVec) {
         let lo = lo as usize;
         let w = a.width as usize;
         self.v[lo..lo + w].copy_from_slice(&a.v);
         self.x[lo..lo + w].copy_from_slice(&a.x);
     }
 
-    /// `self = ~a` per lane (`X`/`Z` stay unknown, like [`Logic::not`]).
-    pub fn not_from(&mut self, a: &PackedVec) {
+    #[inline]
+    fn not_from(&mut self, a: &PackedVec) {
         for i in 0..self.width as usize {
             self.v[i] = !a.v[i] & !a.x[i];
             self.x[i] = a.x[i];
         }
     }
 
-    /// `self = a & b` per lane (`0` dominant, like [`Logic::and`]).
-    pub fn and_from(&mut self, a: &PackedVec, b: &PackedVec) {
+    #[inline]
+    fn and_from(&mut self, a: &PackedVec, b: &PackedVec) {
         for i in 0..self.width as usize {
             let zero = (!a.v[i] & !a.x[i]) | (!b.v[i] & !b.x[i]);
             let one = (a.v[i] & !a.x[i]) & (b.v[i] & !b.x[i]);
@@ -316,8 +272,8 @@ impl PackedVec {
         }
     }
 
-    /// `self = a | b` per lane (`1` dominant, like [`Logic::or`]).
-    pub fn or_from(&mut self, a: &PackedVec, b: &PackedVec) {
+    #[inline]
+    fn or_from(&mut self, a: &PackedVec, b: &PackedVec) {
         for i in 0..self.width as usize {
             let one = (a.v[i] & !a.x[i]) | (b.v[i] & !b.x[i]);
             let zero = (!a.v[i] & !a.x[i]) & (!b.v[i] & !b.x[i]);
@@ -326,8 +282,8 @@ impl PackedVec {
         }
     }
 
-    /// `self = a ^ b` per lane (unknown if either side is unknown).
-    pub fn xor_from(&mut self, a: &PackedVec, b: &PackedVec) {
+    #[inline]
+    fn xor_from(&mut self, a: &PackedVec, b: &PackedVec) {
         for i in 0..self.width as usize {
             let known = !a.x[i] & !b.x[i];
             self.v[i] = (a.v[i] ^ b.v[i]) & known;
@@ -335,9 +291,8 @@ impl PackedVec {
         }
     }
 
-    /// `self[0] = (a == b)` per lane — `X` where either side has any
-    /// unknown bit, matching the scalar `Op::Eq`.
-    pub fn eq_from(&mut self, a: &PackedVec, b: &PackedVec) {
+    #[inline]
+    fn eq_from(&mut self, a: &PackedVec, b: &PackedVec) {
         let mut any_unknown = 0u64;
         let mut neq = 0u64;
         for i in 0..a.width as usize {
@@ -348,9 +303,8 @@ impl PackedVec {
         self.x[0] = any_unknown;
     }
 
-    /// `self = sel ? a : b` per lane — all-`X` in lanes whose select is
-    /// unknown, matching the scalar `Op::Mux`.
-    pub fn mux_from(&mut self, sel: &PackedVec, a: &PackedVec, b: &PackedVec) {
+    #[inline]
+    fn mux_from(&mut self, sel: &PackedVec, a: &PackedVec, b: &PackedVec) {
         let s1 = sel.v[0] & !sel.x[0];
         let s0 = !sel.v[0] & !sel.x[0];
         let sx = sel.x[0];
@@ -360,8 +314,8 @@ impl PackedVec {
         }
     }
 
-    /// `self[0] = ^a` per lane (`X` if any bit unknown).
-    pub fn reduce_xor_from(&mut self, a: &PackedVec) {
+    #[inline]
+    fn reduce_xor_from(&mut self, a: &PackedVec) {
         let mut any_unknown = 0u64;
         let mut parity = 0u64;
         for i in 0..a.width as usize {
@@ -372,8 +326,8 @@ impl PackedVec {
         self.x[0] = any_unknown;
     }
 
-    /// `self[0] = |a` per lane (`1` dominant over unknowns).
-    pub fn reduce_or_from(&mut self, a: &PackedVec) {
+    #[inline]
+    fn reduce_or_from(&mut self, a: &PackedVec) {
         let mut one = 0u64;
         let mut zero = !0u64;
         for i in 0..a.width as usize {
@@ -384,11 +338,14 @@ impl PackedVec {
         self.x[0] = !(one | zero);
     }
 
-    /// Folds one tristate driver into `self` (the accumulator): the
-    /// driver contributes `val` in lanes where `en` is `1`, `Z` where
-    /// `en` is `0`, `X` otherwise, and the contribution is combined with
-    /// [`Logic::resolve`] semantics per lane.
-    pub fn tri_accumulate(&mut self, en: &PackedVec, val: &PackedVec) {
+    #[inline]
+    fn fill_z(&mut self) {
+        self.v.fill(!0);
+        self.x.fill(!0);
+    }
+
+    #[inline]
+    fn tri_accumulate(&mut self, en: &PackedVec, val: &PackedVec) {
         let e1 = en.v[0] & !en.x[0];
         let e0 = !en.v[0] & !en.x[0];
         let ex = en.x[0];
@@ -406,83 +363,64 @@ impl PackedVec {
         }
     }
 
-    /// Per-lane wired resolution of two equal-width packed vectors,
-    /// written into `self` (may alias neither operand).
-    pub fn resolve_from(&mut self, a: &PackedVec, b: &PackedVec) {
-        for i in 0..self.width as usize {
-            let za = a.v[i] & a.x[i];
-            let zb = b.v[i] & b.x[i];
-            let same = !(a.v[i] ^ b.v[i]) & !(a.x[i] ^ b.x[i]);
-            self.v[i] = (za & b.v[i]) | (!za & zb & a.v[i]) | (!za & !zb & same & a.v[i]);
-            self.x[i] = (za & b.x[i]) | (!za & zb & a.x[i]) | (!za & !zb & (same & a.x[i] | !same));
-        }
+    #[inline]
+    fn lanes_one(&self, bit: u32) -> u64 {
+        self.v[bit as usize] & !self.x[bit as usize]
     }
 
-    /// Lane-masked overwrite: lanes in `mask` take `src`'s bits, other
-    /// lanes keep `self`'s (the enabled-DFF / RAM-write commit kernel).
-    pub fn merge_masked(&mut self, src: &PackedVec, mask: u64) {
-        debug_assert_eq!(self.width, src.width);
-        for i in 0..self.width as usize {
-            self.v[i] = self.v[i] & !mask | src.v[i] & mask;
-            self.x[i] = self.x[i] & !mask | src.x[i] & mask;
-        }
+    #[inline]
+    fn clock_bit(&self) -> Logic {
+        let (v, x) = (self.v[0], self.x[0]);
+        debug_assert!(
+            (v == 0 || v == !0) && (x == 0 || x == !0),
+            "clock net must be lane-uniform"
+        );
+        decode(v & 1 == 1, x & 1 == 1)
     }
 
-    /// Lane-masked overwrite with change detection (the enabled-DFF
-    /// commit: lanes outside `mask` keep their old `q`).
-    pub fn merge_masked_changed(&mut self, src: &PackedVec, mask: u64) -> bool {
-        debug_assert_eq!(self.width, src.width);
-        let mut changed = false;
-        for i in 0..self.width as usize {
-            let nv = self.v[i] & !mask | src.v[i] & mask;
-            let nx = self.x[i] & !mask | src.x[i] & mask;
-            changed |= nv != self.v[i] || nx != self.x[i];
-            self.v[i] = nv;
-            self.x[i] = nx;
+    #[inline]
+    fn merge_masked_changed(&mut self, src: &PackedVec, mask: u64) -> bool {
+        if mask != !0 {
+            return self.ram_write_masked(src, mask, None);
         }
-        changed
+        if *self == *src {
+            return false;
+        }
+        self.assign_from(src);
+        true
     }
 
-    /// The batched RAM-write commit: bit `i` of the lanes in
-    /// `base_mask` (and, when a write mask is present, whose mask bit is
-    /// exactly `1` in that lane) takes `src`'s bit; everything else
-    /// keeps the stored word. Returns whether any lane's bit changed.
-    pub fn ram_write_masked(
-        &mut self,
-        src: &PackedVec,
-        base_mask: u64,
-        wmask: Option<&PackedVec>,
-    ) -> bool {
-        debug_assert_eq!(self.width, src.width);
-        let mut changed = false;
-        for i in 0..self.width as usize {
-            let m = base_mask & wmask.map_or(!0, |w| w.v[i] & !w.x[i]);
-            let nv = self.v[i] & !m | src.v[i] & m;
-            let nx = self.x[i] & !m | src.x[i] & m;
-            changed |= nv != self.v[i] || nx != self.x[i];
-            self.v[i] = nv;
-            self.x[i] = nx;
-        }
-        changed
-    }
-
-    /// Sets every lane to the same scalar vector (allocation-free
-    /// [`PackedVec::splat`] into an existing buffer).
-    ///
     /// # Panics
     ///
-    /// Panics on width mismatch.
-    pub fn set_all_lanes(&mut self, value: &LogicVec) {
-        assert_eq!(self.width, value.width(), "width mismatch");
-        for (i, b) in value.iter().enumerate() {
-            let (v, x) = encode(b);
-            self.v[i] = if v { !0 } else { 0 };
-            self.x[i] = if x { !0 } else { 0 };
-        }
+    /// Panics if `bit` is out of range or `lane >= LANES`.
+    #[inline]
+    fn lane_bit(&self, lane: usize, bit: u32) -> Logic {
+        assert!(lane < LANES);
+        let v = self.v[bit as usize] >> lane & 1 == 1;
+        let x = self.x[bit as usize] >> lane & 1 == 1;
+        decode(v, x)
     }
 
-    /// Sets every lane to the same integer value (allocation-free).
-    pub fn set_all_lanes_u64(&mut self, value: u64) {
+    #[inline]
+    fn lane_to_u64(&self, lane: usize) -> Option<u64> {
+        if self.width > 64 {
+            return None;
+        }
+        let m = 1u64 << lane;
+        let mut out = 0u64;
+        for i in 0..self.width as usize {
+            if self.x[i] & m != 0 {
+                return None;
+            }
+            if self.v[i] & m != 0 {
+                out |= 1 << i;
+            }
+        }
+        Some(out)
+    }
+
+    #[inline]
+    fn set_all_lanes_u64(&mut self, value: u64) {
         for i in 0..self.width as usize {
             let bit = if i < 64 { value >> i & 1 == 1 } else { false };
             self.v[i] = if bit { !0 } else { 0 };
@@ -490,15 +428,15 @@ impl PackedVec {
         }
     }
 
-    /// Overwrites **all** lanes from per-lane integers with a single
-    /// bit-matrix transpose — equivalent to 64 [`Self::set_lane_u64`]
-    /// calls but O(64 log 64) instead of O(64 × width) plane updates.
-    /// Every bit becomes known.
+    /// One bit-matrix transpose: equivalent to 64
+    /// [`PackedVec::set_lane_u64`] calls but O(64 log 64) instead of
+    /// O(64 × width) plane updates.
     ///
     /// # Panics
     ///
     /// Panics if the width exceeds 64.
-    pub fn set_lanes_u64(&mut self, vals: &[u64; LANES]) {
+    #[inline]
+    fn set_lanes_u64(&mut self, vals: &[u64; LANES]) {
         assert!(self.width <= 64, "set_lanes_u64 needs width ≤ 64");
         let mut t = *vals;
         transpose64(&mut t);
@@ -507,23 +445,96 @@ impl PackedVec {
         self.x.fill(0);
     }
 
-    /// Reads **all** lanes as integers with a single bit-matrix
-    /// transpose. `out[lane]` receives the lane's value-plane bits; the
-    /// returned mask has a bit set for each lane whose vector is fully
-    /// known — exactly the lanes where [`Self::lane_to_u64`] returns
-    /// `Some(out[lane])`. Unknown lanes' `out` words carry the raw
-    /// value-plane bits and must be qualified by the mask.
+    /// # Panics
+    ///
+    /// Panics if `lane >= LANES`.
+    #[inline]
+    fn set_lane_xs(&mut self, lane: usize) {
+        assert!(lane < LANES);
+        let m = 1u64 << lane;
+        for i in 0..self.width as usize {
+            self.v[i] &= !m;
+            self.x[i] |= m;
+        }
+    }
+
+    /// One bit-matrix transpose; unknown lanes' words carry the raw
+    /// value-plane bits.
     ///
     /// # Panics
     ///
     /// Panics if the width exceeds 64.
-    pub fn lanes_u64(&self, out: &mut [u64; LANES]) -> u64 {
+    #[inline]
+    fn lanes_u64(&self, out: &mut [u64; LANES]) -> u64 {
         assert!(self.width <= 64, "lanes_u64 needs width ≤ 64");
         let w = self.width as usize;
         out[..w].copy_from_slice(&self.v);
         out[w..].fill(0);
         transpose64(out);
-        self.lanes_known()
+        self.x.iter().fold(!0, |known, x| known & !x)
+    }
+
+    #[inline]
+    fn ram_gather(&mut self, addr: &PackedVec, ram: &[PackedVec]) {
+        self.v.fill(0);
+        self.x.fill(!0);
+        for (a, word) in ram.iter().enumerate() {
+            let m = addr.lanes_eq_u64(a as u64);
+            if m != 0 {
+                self.ram_write_masked(word, m, None);
+            }
+        }
+    }
+
+    fn write_port(words: u32, width: u32, masked: bool) -> PackedWritePort {
+        PackedWritePort {
+            sel: vec![0; words as usize],
+            data: PackedVec::zeros(width),
+            mask: masked.then(|| PackedVec::zeros(width)),
+        }
+    }
+
+    #[inline]
+    fn ram_select(port: &mut PackedWritePort, we: u64, addr: &PackedVec, _words: u32) -> bool {
+        let mut any = 0u64;
+        for (a, sel) in port.sel.iter_mut().enumerate() {
+            *sel = we & addr.lanes_eq_u64(a as u64);
+            any |= *sel;
+        }
+        any != 0
+    }
+
+    #[inline]
+    fn ram_sample(
+        port: &mut PackedWritePort,
+        _word: &mut PackedVec,
+        _ram: &[PackedVec],
+        data: &PackedVec,
+        mask: Option<&PackedVec>,
+    ) {
+        port.data.assign_from(data);
+        if let (Some(m), Some(src)) = (&mut port.mask, mask) {
+            m.assign_from(src);
+        }
+    }
+
+    #[inline]
+    fn ram_commit(port: &PackedWritePort, _word: &PackedVec, ram: &mut [PackedVec]) -> bool {
+        let mut changed = false;
+        for (word, &m) in ram.iter_mut().zip(&port.sel) {
+            if m != 0 {
+                changed |= word.ram_write_masked(&port.data, m, port.mask.as_ref());
+            }
+        }
+        changed
+    }
+
+    fn save(&self) -> (Vec<u64>, Vec<u64>) {
+        (self.v.clone(), self.x.clone())
+    }
+
+    fn restore(width: u32, (v, x): &(Vec<u64>, Vec<u64>)) -> Option<Self> {
+        PackedVec::from_planes(width, v.clone(), x.clone())
     }
 }
 

@@ -89,7 +89,6 @@ pub(crate) enum CombNode {
         ops: OpsRange,
         addr: u32,
         ram: u32,
-        words: u32,
         target: u32,
         out: u32,
     },
@@ -150,8 +149,8 @@ pub(crate) enum SeqNode {
 }
 
 /// The immutable compiled form of one [`Netlist`]: flat ops, node lists,
-/// topological ranks, CSR fanout and arena layout. Shared verbatim by
-/// the scalar and batched executors.
+/// topological ranks, CSR fanout and arena layout. Both lane instances
+/// of [`Sim`](crate::Sim) run it verbatim.
 #[derive(Debug, Clone)]
 pub(crate) struct Schedule {
     pub(crate) ops: Vec<Op>,
@@ -422,7 +421,6 @@ impl Schedule {
                         ops,
                         addr,
                         ram: idx as u32,
-                        words: *words,
                         target: rdata.0,
                         out,
                     });

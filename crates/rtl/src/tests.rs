@@ -215,6 +215,65 @@ fn ram_write_read_with_mask() {
     assert_eq!(sim.get_u64(rdata), Some(0));
 }
 
+/// A RAM address at or above 2^32 selects no word even when its low 32
+/// bits are in range: it reads X and drops the write, in both lane
+/// instances, lane for lane.
+#[test]
+fn ram_addresses_above_u32_select_no_word() {
+    let mut n = Netlist::new("wide_addr_ram");
+    let clk = n.input("clk", 1);
+    let we = n.input("we", 1);
+    let waddr = n.input("waddr", 40);
+    let wdata = n.input("wdata", 8);
+    let raddr = n.input("raddr", 40);
+    let rdata = n.wire("rdata", 8);
+    n.ram(
+        clk,
+        Expr::net(we),
+        Expr::net(waddr),
+        Expr::net(wdata),
+        None,
+        Expr::net(raddr),
+        rdata,
+        4,
+        8,
+    );
+    let far = 1u64 << 32;
+    // per lane: (write address, read address, expected read)
+    let plan = |lane: usize| match lane % 3 {
+        0 => (far + 2, far + 1, None),
+        1 => (2, 2, Some(0xA5)),
+        _ => (far + 2, 2, Some(0)),
+    };
+    let mut batched = BatchedRtlSim::new(&n);
+    let mut scalars: Vec<RtlSim> = (0..LANES).map(|_| RtlSim::new(&n)).collect();
+    for (lane, sc) in scalars.iter_mut().enumerate() {
+        let (wa, ra, _) = plan(lane);
+        for (net, val) in [(we, 1), (waddr, wa), (wdata, 0xA5), (raddr, ra)] {
+            sc.set_u64(net, val);
+            batched.set_lane_u64(net, lane, val);
+        }
+    }
+    for phase in [1u64, 0] {
+        batched.set_u64_all(clk, phase);
+        batched.step();
+        for sc in scalars.iter_mut() {
+            sc.set_u64(clk, phase);
+            sc.step();
+        }
+    }
+    for (lane, sc) in scalars.iter().enumerate() {
+        let (wa, _, want) = plan(lane);
+        assert_eq!(sc.get_u64(rdata), want, "lane {lane}");
+        if want.is_none() {
+            assert!(sc.get(rdata).iter().all(|b| b == Logic::X), "lane {lane}");
+        }
+        let stored = if wa == 2 { 0xA5 } else { 0 };
+        assert_eq!(sc.ram_word(0, 2).to_u64(), Some(stored), "lane {lane}");
+        assert_eq!(&batched.get_lane(rdata, lane), sc.get(rdata), "lane {lane}");
+    }
+}
+
 #[test]
 fn parity_generator() {
     let mut n = Netlist::new("par");

@@ -67,17 +67,42 @@ cargo run -q -p la1-bench --bin campaign -- 1 2 --smoke --batched > /dev/null
 # (2) Kill-and-resume: a journaled campaign is SIGKILLed mid-run, then
 # resumed from the write-ahead journal; the resumed merged report must
 # be byte-identical to an uninterrupted run's (only incomplete jobs
-# re-execute — the binary replays the journaled prefix verbatim).
+# re-execute — the binary replays the journaled prefix verbatim). The
+# kill waits for the first committed result (polling, at most 120 s) and
+# the gate fails unless it landed strictly between the first and the
+# last commit, so it cannot pass without testing a replay.
 FARM_TMP=$(mktemp -d)
 trap 'rm -rf "$FARM_TMP"' EXIT
+# committed_results <journal>: complete result lines (newline-terminated
+# lines minus the header line).
+committed_results() {
+    local lines
+    lines=$(wc -l 2> /dev/null < "$1" || echo 0)
+    echo $((lines > 0 ? lines - 1 : 0))
+}
+# kill_after_first_commit <journal> <pid> <jobs> <gate>: SIGKILLs the
+# journaled run once it has committed a result, then asserts
+# 1 <= committed < jobs.
+kill_after_first_commit() {
+    local journal=$1 pid=$2 jobs=$3 gate=$4 deadline=$((SECONDS + 120)) n
+    while [ "$(committed_results "$journal")" -lt 1 ] && [ "$SECONDS" -lt "$deadline" ] \
+        && kill -0 "$pid" 2> /dev/null; do
+        sleep 0.05
+    done
+    kill -9 "$pid" 2> /dev/null || true
+    wait "$pid" 2> /dev/null || true
+    n=$(committed_results "$journal")
+    echo "check.sh: $gate crash gate killed the run after $n of $jobs committed results" >&2
+    if [ "$n" -lt 1 ] || [ "$n" -ge "$jobs" ]; then
+        echo "check.sh: $gate crash gate needs 1 <= committed < $jobs, got $n" >&2
+        exit 1
+    fi
+}
 ./target/release/farm 2 --mode campaign --jobs 8 --runs 400 --scalar --workers 1 \
     --merged-json "$FARM_TMP/clean.json" > /dev/null
 ./target/release/farm 2 --mode campaign --jobs 8 --runs 400 --scalar --workers 1 \
     --journal "$FARM_TMP/journal.jsonl" > /dev/null 2>&1 &
-FARM_PID=$!
-sleep 1.2
-kill -9 "$FARM_PID" 2> /dev/null || true
-wait "$FARM_PID" 2> /dev/null || true
+kill_after_first_commit "$FARM_TMP/journal.jsonl" $! 8 campaign
 ./target/release/farm 2 --mode campaign --jobs 8 --runs 400 --scalar --workers 1 \
     --resume "$FARM_TMP/journal.jsonl" --merged-json "$FARM_TMP/resumed.json" > /dev/null
 diff "$FARM_TMP/clean.json" "$FARM_TMP/resumed.json" > /dev/null \
@@ -111,10 +136,7 @@ cargo test -q --workspace --features proptest > /dev/null
     --preamble 4000 --workers 1 --merged-json "$FARM_TMP/warm_clean.json" > /dev/null
 ./target/release/farm 2 --mode closure --jobs 400 --runs 1 --budget 60000 \
     --preamble 4000 --workers 1 --journal "$FARM_TMP/warm_journal.jsonl" > /dev/null 2>&1 &
-FARM_PID=$!
-sleep 1.2
-kill -9 "$FARM_PID" 2> /dev/null || true
-wait "$FARM_PID" 2> /dev/null || true
+kill_after_first_commit "$FARM_TMP/warm_journal.jsonl" $! 400 "warm closure"
 ./target/release/farm 2 --mode closure --jobs 400 --runs 1 --budget 60000 \
     --preamble 4000 --workers 1 --resume "$FARM_TMP/warm_journal.jsonl" \
     --merged-json "$FARM_TMP/warm_resumed.json" > /dev/null
