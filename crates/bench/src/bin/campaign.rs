@@ -16,7 +16,9 @@
 //!   dropping; verdicts are byte-identical to the scalar engine;
 //! * `--assert-speedup X` — time the scalar engine too, assert the
 //!   matrices match byte for byte and that batched is at least `X`×
-//!   faster (implies `--batched`);
+//!   faster (implies `--batched`); both engines run alternately
+//!   [`la1_bench::SPEEDUP_SAMPLES`] times and the ratio of their
+//!   median times is judged;
 //! * `--json` — write the machine-readable matrices (one JSON object
 //!   per bank count, in a JSON array) to a file. Batched runs carry a
 //!   `"perf"` object with `patterns_per_second` and (under
@@ -26,9 +28,8 @@
 //!   the RTL+OVL level and the healthy design never hangs. Combined
 //!   with `--batched`, additionally asserts batched == scalar.
 
-use la1_bench::{opt_speedup, write_json_array, BenchArgs, Gate};
+use la1_bench::{opt_speedup, time_alternating, time_once, write_json_array, BenchArgs, Gate};
 use la1_fault::{run_campaign, run_campaign_batched, CampaignConfig, FaultModel, Level};
-use std::time::Instant;
 
 /// Seeded runs the campaign executes: per level, one per supported
 /// (fault, run) pair plus the healthy control. Level-independent work
@@ -77,19 +78,18 @@ fn main() {
         let patterns = pattern_count(&config);
 
         // The scalar engine runs when it is the requested mode, or as
-        // the timed/verdict reference for --assert-speedup / batched
-        // smoke runs.
-        let need_scalar = !batched || assert_speedup.is_some() || smoke;
-        let scalar = need_scalar.then(|| {
-            let t0 = Instant::now();
-            let matrix = run_campaign(&config);
-            (matrix, t0.elapsed().as_secs_f64())
-        });
+        // the verdict reference for batched smoke runs; a speedup gate
+        // times both engines alternately and judges their medians.
+        let (scalar, batched_run) = if assert_speedup.is_some() {
+            let (scalar, batched_run) =
+                time_alternating(|| run_campaign(&config), || run_campaign_batched(&config));
+            (Some(scalar), Some(batched_run))
+        } else {
+            let scalar = (!batched || smoke).then(|| time_once(|| run_campaign(&config)));
+            (scalar, batched.then(|| time_once(|| run_campaign_batched(&config))))
+        };
 
-        let (matrix, perf) = if batched {
-            let t0 = Instant::now();
-            let (matrix, stats) = run_campaign_batched(&config);
-            let elapsed = t0.elapsed().as_secs_f64();
+        let (matrix, perf) = if let Some(((matrix, stats), elapsed)) = batched_run {
             println!("{}", stats.render());
             let speedup = scalar.as_ref().map(|(reference, scalar_elapsed)| {
                 assert_eq!(

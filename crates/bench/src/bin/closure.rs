@@ -20,7 +20,9 @@
 //!   mode (default 64, the lane width);
 //! * `--assert-speedup X` — time the sequential multi-stream reference
 //!   too, assert its report is byte-identical and that the batched
-//!   engine is at least `X`× faster (implies `--batched`);
+//!   engine is at least `X`× faster (implies `--batched`); both run
+//!   alternately [`la1_bench::SPEEDUP_SAMPLES`] times and the ratio of
+//!   their median times is judged;
 //! * `--json` — write the machine-readable reports to a file. Batched
 //!   runs carry a `"perf"` object with `patterns_per_second` (lane
 //!   cycles per second) and `speedup_vs_scalar`;
@@ -28,13 +30,14 @@
 //!   `1 2`, budget to 40000, and the binary exits non-zero unless the
 //!   guided run closes 100% of tier-1 bins within the budget.
 
-use la1_bench::{indent_json, opt_speedup, write_json_array, BenchArgs, Gate};
+use la1_bench::{
+    indent_json, opt_speedup, time_alternating, time_once, write_json_array, BenchArgs, Gate,
+};
 use la1_cover::{
     run_closure, run_closure_rtl, run_closure_rtl_batched, ClosureConfig, ClosureReport,
     MultiClosureReport,
 };
 use la1_core::spec::LaConfig;
-use std::time::Instant;
 
 fn row(report: &ClosureReport) -> String {
     let ctc = match report.cycles_to_closure {
@@ -115,14 +118,15 @@ fn main() {
         }
 
         if batched {
-            let scalar = assert_speedup.is_some().then(|| {
-                let t0 = Instant::now();
-                let report = run_closure_rtl(&cfg, true, streams);
-                (report, t0.elapsed().as_secs_f64())
-            });
-            let t0 = Instant::now();
-            let guided = run_closure_rtl_batched(&cfg, true, streams);
-            let elapsed = t0.elapsed().as_secs_f64();
+            let batched = || run_closure_rtl_batched(&cfg, true, streams);
+            let (scalar, (guided, elapsed)) = match assert_speedup {
+                Some(_) => {
+                    let (scalar, batched) =
+                        time_alternating(|| run_closure_rtl(&cfg, true, streams), batched);
+                    (Some(scalar), batched)
+                }
+                None => (None, time_once(batched)),
+            };
             println!("{}", multi_row(&guided));
             let speedup = scalar.as_ref().map(|(reference, scalar_elapsed)| {
                 assert_eq!(

@@ -90,8 +90,8 @@ fn main() {
                 *sum = fold(
                     *sum,
                     banks,
-                    |b| driver.bank_output(lane, b),
-                    |b| driver.write_done(lane, b),
+                    |b| driver.lane_output(lane, b),
+                    |b| driver.lane_write_done(lane, b),
                 );
             }
         }

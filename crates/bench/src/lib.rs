@@ -21,7 +21,7 @@ use la1_core::harness::{asm_model_check, rulebase_read_mode, run_rtl_ovl, run_sy
 use la1_core::spec::LaConfig;
 use la1_core::workloads::RandomMix;
 use la1_smc::{SmcConfig, SmcOutcome, Strategy};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default BDD node budget for the Table 2 reproduction, calibrated so
 /// the RuleBase-era monolithic strategy proves 1–3 banks (peaks of
@@ -291,6 +291,46 @@ pub fn sout(line: impl AsRef<str>) {
         .write_all(line.as_ref().as_bytes())
         .and_then(|()| h.write_all(b"\n"))
         .and_then(|()| h.flush());
+}
+
+/// Samples per side behind every `--assert-speedup` gate.
+pub const SPEEDUP_SAMPLES: usize = 7;
+
+/// A timed result: the value of the last run and the median wall-clock
+/// seconds over all runs.
+pub type Timed<T> = (T, f64);
+
+/// Times `reference` and `candidate` alternately, [`SPEEDUP_SAMPLES`]
+/// runs each, and returns each side's last result with its median
+/// seconds. The speedup gates judge the ratio of the two medians, so a
+/// single noisy sample (or a cold first run) cannot decide them; the
+/// alternation spreads host load phases over both sides alike.
+pub fn time_alternating<R, C>(
+    mut reference: impl FnMut() -> R,
+    mut candidate: impl FnMut() -> C,
+) -> (Timed<R>, Timed<C>) {
+    let mut r = time_once(&mut reference);
+    let mut c = time_once(&mut candidate);
+    let (mut r_secs, mut c_secs) = (vec![r.1], vec![c.1]);
+    for _ in 1..SPEEDUP_SAMPLES {
+        r = time_once(&mut reference);
+        c = time_once(&mut candidate);
+        r_secs.push(r.1);
+        c_secs.push(c.1);
+    }
+    ((r.0, median(&mut r_secs)), (c.0, median(&mut c_secs)))
+}
+
+/// Runs `f` once under the wall clock.
+pub fn time_once<T>(f: impl FnOnce() -> T) -> Timed<T> {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
+}
+
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// Renders an optional speedup figure as a JSON number with two

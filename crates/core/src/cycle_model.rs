@@ -22,11 +22,12 @@
 //! compiled simulator evaluates into.
 
 use crate::harness::attach_la1_ovl;
-use crate::rtl_model::{LaRtl, LaRtlBatchDriver, LaRtlDriver, RtlDriverSnap};
+use crate::rtl_model::{LaRtl, LaRtlDriver, RtlDriver, RtlDriverSnap};
 use crate::sc_model::LaSystemC;
 use crate::spec::BankOp;
 use crate::workloads::Workload;
 use la1_ovl::{OvlBench, OvlSnap};
+use la1_rtl::{LaneValue, PackedVec};
 use std::fmt;
 
 /// A cycle-accurate executable model of the LA-1 interface.
@@ -171,17 +172,6 @@ impl RtlWithOvl {
         &self.bench
     }
 
-    /// The underlying RTL driver.
-    pub fn driver(&self) -> &LaRtlDriver {
-        &self.driver
-    }
-
-    /// Mutable access to the underlying RTL driver (fault-injection
-    /// hooks such as [`LaRtlDriver::inject_x`]).
-    pub fn driver_mut(&mut self) -> &mut LaRtlDriver {
-        &mut self.driver
-    }
-
     /// Captures driver and OVL-bench state together at a protocol-cycle
     /// boundary.
     ///
@@ -253,38 +243,38 @@ impl CycleModel for RtlWithOvl {
     }
 }
 
-/// An observation-only [`CycleModel`] view of one lane of a
-/// [`LaRtlBatchDriver`] — lets per-model observers (coverage
-/// collectors, scoreboards) sample a batched lane through the same
-/// interface they use on the scalar levels.
+/// An observation-only [`CycleModel`] view of one lane of an
+/// [`RtlDriver`] — lets per-model observers (coverage collectors,
+/// scoreboards) sample any lane of either driver instance through the
+/// same interface they use on the other levels.
 ///
-/// The batched driver steps all 64 lanes together, so this view cannot
-/// drive cycles itself: [`CycleModel::cycle`] panics. Use it only after
-/// [`LaRtlBatchDriver::cycle`] for pin sampling.
-pub struct BatchLaneModel<'a> {
-    driver: &'a mut LaRtlBatchDriver,
+/// The driver steps all its lanes together, so this view cannot drive
+/// cycles itself: [`CycleModel::cycle`] panics. Use it only after
+/// [`RtlDriver::cycle_lanes`] for pin sampling.
+pub struct BatchLaneModel<'a, V: LaneValue = PackedVec> {
+    driver: &'a mut RtlDriver<V>,
     lane: usize,
 }
 
-impl<'a> BatchLaneModel<'a> {
-    /// Borrows one lane of the batched driver as a passive model view.
-    pub fn new(driver: &'a mut LaRtlBatchDriver, lane: usize) -> Self {
+impl<'a, V: LaneValue> BatchLaneModel<'a, V> {
+    /// Borrows one lane of the driver as a passive model view.
+    pub fn new(driver: &'a mut RtlDriver<V>, lane: usize) -> Self {
         BatchLaneModel { driver, lane }
     }
 }
 
-impl CycleModel for BatchLaneModel<'_> {
+impl<V: LaneValue> CycleModel for BatchLaneModel<'_, V> {
     fn level(&self) -> &'static str {
         "rtl"
     }
     fn cycle(&mut self, _ops: &[BankOp]) {
-        unreachable!("BatchLaneModel is observation-only; drive LaRtlBatchDriver::cycle instead")
+        unreachable!("BatchLaneModel is observation-only; drive RtlDriver::cycle_lanes instead")
     }
     fn bank_output(&self, bank: u32) -> Option<u64> {
-        self.driver.bank_output(self.lane, bank)
+        self.driver.lane_output(self.lane, bank)
     }
     fn write_done(&self, bank: u32) -> bool {
-        self.driver.write_done(self.lane, bank)
+        self.driver.lane_write_done(self.lane, bank)
     }
     fn violation_count(&self) -> usize {
         0
@@ -293,7 +283,7 @@ impl CycleModel for BatchLaneModel<'_> {
         self.driver.cycles()
     }
     fn parity_error(&mut self, bank: u32) -> bool {
-        self.driver.parity_error(self.lane, bank)
+        self.driver.lane_parity_error(self.lane, bank)
     }
 }
 

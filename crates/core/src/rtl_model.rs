@@ -22,9 +22,9 @@
 //! instances of one [`RtlDriver`] — clock the compiled simulator through
 //! full protocol cycles.
 
-use crate::spec::{bank_bits, BankOp, LaConfig};
+use crate::spec::{bank_bits, bus_legal, BankOp, LaConfig};
 use la1_rtl::{
-    BatchedRtlSim, Edge, Expr, LaneValue, LogicVec, NetId, Netlist, PackedVec, RtlSim, Sim,
+    Edge, Expr, LaneValue, LogicVec, NetId, Netlist, PackedVec, RtlSim, Sim,
     SimState, TransitionSystem,
 };
 
@@ -474,31 +474,42 @@ impl<V: LaneValue> RtlDriver<V> {
         self.sim.evals()
     }
 
-    /// Runs one full clock cycle with an operation list per lane (at most
-    /// one read and one write each: the single address bus allows no
-    /// more); lanes beyond `ops.len()` idle. Invokes `at_rising` once the
-    /// rising edge has settled (the OVL sampling point).
-    fn run_cycle<F: FnOnce(&mut Sim<V>)>(&mut self, ops: &[&[BankOp]], at_rising: F) {
+    /// Runs one full clock cycle with an operation list per lane, each
+    /// obeying the single-address-bus rule ([`bus_legal`]); lanes beyond
+    /// `ops.len()` idle. Invokes `at_rising` once the rising edge has
+    /// settled (the OVL sampling point; probe a lane with
+    /// [`Sim::lane_probe`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if some lane breaks [`bus_legal`], or if more than
+    /// `V::LANES` operation lists are supplied.
+    pub fn cycle_lanes<O, F>(&mut self, ops: &[O], at_rising: F)
+    where
+        O: AsRef<[BankOp]>,
+        F: FnOnce(&mut Sim<V>),
+    {
         assert!(ops.len() <= V::LANES, "at most {} lanes", V::LANES);
         let RtlDriver { design, sim, .. } = self;
         let (cfg, nets) = (&design.cfg, &design.nets);
         let word_bits = cfg.addr_bits();
         let low_bytes = cfg.byte_enables() / 2;
 
-        // decode and validate every lane's operations into the pin values
-        // of both edges: read select, write select, address, write data,
-        // byte enables
+        // decode every lane's operations into the pin values of both
+        // edges: read select, write select, address, write data, byte
+        // enables
         let [mut rd, mut wr, mut raddr, mut data_lo, mut bw_lo] = [V::NO_WORDS; 5];
         let [mut waddr, mut data_hi, mut bw_hi] = [V::NO_WORDS; 3];
         for (lane, lane_ops) in ops.iter().enumerate() {
-            for op in lane_ops.iter() {
+            let lane_ops = lane_ops.as_ref();
+            assert!(
+                bus_legal(cfg, lane_ops),
+                "single address bus: at most one read and one write per cycle, \
+                 addresses in range (lane {lane}: {lane_ops:?})"
+            );
+            for op in lane_ops {
                 match *op {
                     BankOp::Read { bank, addr } => {
-                        assert!(
-                            rd.as_ref()[lane] == 0,
-                            "single address bus: one read per cycle"
-                        );
-                        assert!(addr < cfg.words_per_bank as u64);
                         rd.as_mut()[lane] = 1;
                         raddr.as_mut()[lane] = addr | ((bank as u64) << word_bits);
                     }
@@ -508,11 +519,6 @@ impl<V: LaneValue> RtlDriver<V> {
                         data,
                         byte_en,
                     } => {
-                        assert!(
-                            wr.as_ref()[lane] == 0,
-                            "single address bus: one write per cycle"
-                        );
-                        assert!(addr < cfg.words_per_bank as u64);
                         let d = cfg.mask_word(data);
                         wr.as_mut()[lane] = 1;
                         data_lo.as_mut()[lane] = cfg.low_half(d);
@@ -584,6 +590,39 @@ impl<V: LaneValue> RtlDriver<V> {
         self.cycles += 1;
     }
 
+    /// The design the driver clocks.
+    pub fn design(&self) -> &LaRtl {
+        &self.design
+    }
+
+    /// Arms a four-state X injection on one lane: during the next cycle
+    /// the chosen input pin is driven with all-X on both clock edges,
+    /// overriding whatever the operations would drive. Whatever the
+    /// design samples from that pin (a write word, an address, a select)
+    /// becomes X and propagates through the state like a real unknown.
+    pub fn inject_x_lane(&mut self, lane: usize, pin: XPin) {
+        self.pending_x[lane] = Some(pin);
+    }
+
+    /// The word a bank produced for one lane in the last completed
+    /// cycle (both DDR halves merged), if its data-valid flag was set in
+    /// that lane.
+    pub fn lane_output(&self, lane: usize, bank: u32) -> Option<u64> {
+        self.outputs[lane][bank as usize]
+    }
+
+    /// Whether a bank's parity checker fired in one lane at the last
+    /// rising edge.
+    pub fn lane_parity_error(&self, lane: usize, bank: u32) -> bool {
+        self.flag(self.design.nets.perr[bank as usize], lane)
+    }
+
+    /// Whether the bank's write-done register is set in one lane after
+    /// the last completed cycle.
+    pub fn lane_write_done(&self, lane: usize, bank: u32) -> bool {
+        self.flag(self.design.nets.wdone[bank as usize], lane)
+    }
+
     /// Whether the 1-bit net is `1` in one lane.
     fn flag(&self, net: NetId, lane: usize) -> bool {
         self.sim.lane_u64(net, lane) == Some(1)
@@ -638,13 +677,10 @@ impl<V: LaneValue> RtlDriver<V> {
 }
 
 impl LaRtlDriver {
-    /// Arms a four-state X injection: during the next [`Self::cycle`]
-    /// the chosen input pin is driven with all-X on both clock edges,
-    /// overriding whatever the operations would drive. Whatever the
-    /// design samples from that pin (a write word, an address, a select)
-    /// becomes X and propagates through the state like a real unknown.
+    /// Arms a four-state X injection for the next [`Self::cycle`] (see
+    /// [`RtlDriver::inject_x_lane`]).
     pub fn inject_x(&mut self, pin: XPin) {
-        self.pending_x[0] = Some(pin);
+        self.inject_x_lane(0, pin);
     }
 
     /// Runs one full clock cycle with at most one read and one write
@@ -655,78 +691,40 @@ impl LaRtlDriver {
     ///
     /// # Panics
     ///
-    /// Panics if more than one read or write is supplied, or if an
-    /// address is out of range.
+    /// Panics if the operations break [`bus_legal`].
     pub fn cycle(&mut self, ops: &[BankOp]) {
-        self.run_cycle(&[ops], |_| {});
+        self.cycle_lanes(&[ops], |_| {});
     }
 
     /// Like [`Self::cycle`], invoking `at_rising` once the rising edge
     /// has settled (the OVL sampling point).
     pub fn cycle_with<F: FnOnce(&mut RtlSim)>(&mut self, ops: &[BankOp], at_rising: F) {
-        self.run_cycle(&[ops], at_rising);
+        self.cycle_lanes(&[ops], at_rising);
     }
 
     /// The word a bank produced in the last completed cycle (both DDR
     /// halves merged), if its data-valid flag was set.
     pub fn bank_output(&self, bank: u32) -> Option<u64> {
-        self.outputs[0][bank as usize]
+        self.lane_output(0, bank)
     }
 
     /// Whether a bank's parity checker fired at the last rising edge.
     pub fn parity_error(&mut self, bank: u32) -> bool {
-        self.flag(self.design.nets.perr[bank as usize], 0)
+        self.lane_parity_error(0, bank)
     }
 
     /// Whether the bank's write-done register is set after the last
     /// completed cycle.
     pub fn write_done(&self, bank: u32) -> bool {
-        self.flag(self.design.nets.wdone[bank as usize], 0)
+        self.lane_write_done(0, bank)
     }
 }
 
 impl LaRtlBatchDriver {
-    /// Arms a four-state X injection on one lane for the next cycle
-    /// (the batched analogue of [`LaRtlDriver::inject_x`]).
-    pub fn inject_x(&mut self, lane: usize, pin: XPin) {
-        self.pending_x[lane] = Some(pin);
-    }
-
     /// Runs one full clock cycle with an independent operation list per
-    /// lane. `ops[lane]` follows the [`LaRtlDriver::cycle`] contract (at
-    /// most one read and one write); lanes beyond `ops.len()` idle.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`LaRtlDriver::cycle`], or if
-    /// more than [`la1_rtl::LANES`] operation lists are supplied.
+    /// lane ([`RtlDriver::cycle_lanes`] without a rising-edge hook).
     pub fn cycle(&mut self, ops: &[&[BankOp]]) {
-        self.run_cycle(ops, |_| {});
-    }
-
-    /// Like [`Self::cycle`], invoking `at_rising` once the rising edge
-    /// has settled (the OVL sampling point; probe individual lanes with
-    /// [`Sim::lane_probe`]).
-    pub fn cycle_with<F: FnOnce(&mut BatchedRtlSim)>(&mut self, ops: &[&[BankOp]], at_rising: F) {
-        self.run_cycle(ops, at_rising);
-    }
-
-    /// The word a bank produced for one lane in the last completed
-    /// cycle, if its data-valid flag was set in that lane.
-    pub fn bank_output(&self, lane: usize, bank: u32) -> Option<u64> {
-        self.outputs[lane][bank as usize]
-    }
-
-    /// Whether a bank's parity checker fired in one lane at the last
-    /// rising edge.
-    pub fn parity_error(&self, lane: usize, bank: u32) -> bool {
-        self.flag(self.design.nets.perr[bank as usize], lane)
-    }
-
-    /// Whether the bank's write-done register is set in one lane after
-    /// the last completed cycle.
-    pub fn write_done(&self, lane: usize, bank: u32) -> bool {
-        self.flag(self.design.nets.wdone[bank as usize], lane)
+        self.cycle_lanes(ops, |_| {});
     }
 }
 

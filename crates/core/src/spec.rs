@@ -309,6 +309,21 @@ impl BankOp {
     }
 }
 
+/// The single-address-bus rule the RTL drivers assert: at most one read
+/// and one write per cycle, each addressing a word inside its bank. A
+/// fault campaign uses it as the RTL levels' protocol guard.
+#[inline]
+pub fn bus_legal(cfg: &LaConfig, ops: &[BankOp]) -> bool {
+    let mut used = [false; 2];
+    ops.iter().all(|op| {
+        let (slot, addr) = match *op {
+            BankOp::Read { addr, .. } => (0, addr),
+            BankOp::Write { addr, .. } => (1, addr),
+        };
+        !std::mem::replace(&mut used[slot], true) && addr < cfg.words_per_bank as u64
+    })
+}
+
 /// Even parity of the low `width` bits of `value` (one bit per byte is
 /// transferred on the bus; this helper computes a single byte's bit).
 pub fn even_parity(value: u64, width: u32) -> bool {

@@ -796,6 +796,73 @@ fn burst_protocol_violation_panics() {
 }
 
 #[test]
+fn bus_rule_is_exactly_what_the_rtl_drivers_assert() {
+    use crate::rtl_model::LaRtlBatchDriver;
+    use rand::Rng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    // generated op lists of 0..=3 reads and writes at addresses up to one
+    // past the bank: legal lists, two reads, two writes, out of range
+    let cfg = small_cfg(2);
+    let words = cfg.words_per_bank as u64;
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(12);
+    let lists: Vec<Vec<BankOp>> = (0..400)
+        .map(|_| {
+            (0..rng.gen_range(0..4u32))
+                .map(|_| {
+                    let (bank, addr) = (rng.gen_range(0..2u32), rng.gen_range(0..=words));
+                    if rng.gen_range(0..2u32) == 0 {
+                        BankOp::read(bank, addr)
+                    } else {
+                        BankOp::write(bank, addr, 0x1234, 0xF)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let count = |f: fn(&BankOp) -> bool, ops: &[BankOp]| ops.iter().filter(|op| f(op)).count();
+    let out_of_range = |ops: &[BankOp]| {
+        ops.iter().any(|op| match *op {
+            BankOp::Read { addr, .. } | BankOp::Write { addr, .. } => addr >= words,
+        })
+    };
+    let legal: Vec<&Vec<BankOp>> = lists.iter().filter(|ops| bus_legal(&cfg, ops)).collect();
+    assert!(legal.iter().any(|ops| ops.len() == 2));
+    assert!(lists
+        .iter()
+        .any(|ops| count(BankOp::is_read, ops) == 2 && !out_of_range(ops)));
+    assert!(lists
+        .iter()
+        .any(|ops| count(|op| !op.is_read(), ops) == 2 && !out_of_range(ops)));
+    assert!(lists.iter().any(|ops| ops.len() == 1 && out_of_range(ops)));
+
+    let design = LaRtl::build(&cfg, None);
+    let mut scalar = LaRtlDriver::new(&design);
+    let mut batch = LaRtlBatchDriver::new(&design);
+    for (i, ops) in lists.iter().enumerate() {
+        let panicked = catch_unwind(AssertUnwindSafe(|| scalar.cycle(ops))).is_err();
+        assert_eq!(panicked, !bus_legal(&cfg, ops), "scalar driver on {ops:?}");
+        // the list in lane i % 64 among legal lanes: the batched driver
+        // panics exactly when it breaks the rule
+        let mut lanes: Vec<&[BankOp]> = legal
+            .iter()
+            .cycle()
+            .skip(i)
+            .take(64)
+            .map(|o| o.as_slice())
+            .collect();
+        lanes[i % 64] = ops;
+        let panicked = catch_unwind(AssertUnwindSafe(|| batch.cycle(&lanes))).is_err();
+        assert_eq!(
+            panicked,
+            !bus_legal(&cfg, ops),
+            "batched driver, lane {}: {ops:?}",
+            i % 64
+        );
+    }
+}
+
+#[test]
 fn burst_rtl_ovl_clean() {
     let cfg = LaConfig::la1b(1);
     let mut w = crate::workloads::BurstLookup::new(&cfg, 11);
@@ -991,12 +1058,11 @@ fn batched_driver_matches_scalar_lanes() {
                 // X-inject a different pin on every fifth lane
                 for lane in (0..LANES).step_by(5) {
                     let pin = x_pins[(lane / 5) % x_pins.len()];
-                    batch.inject_x(lane, pin);
+                    batch.inject_x_lane(lane, pin);
                     scalars[lane].inject_x(pin);
                 }
             }
-            let slices: Vec<&[BankOp]> = ops.iter().map(|v| v.as_slice()).collect();
-            batch.cycle_with(&slices, |sim| {
+            batch.cycle_lanes(&ops, |sim| {
                 for (lane, bench) in bench_b.iter_mut().enumerate() {
                     bench.on_cycle(&mut sim.lane_probe(lane));
                 }
@@ -1010,13 +1076,13 @@ fn batched_driver_matches_scalar_lanes() {
             for (lane, sc) in scalars.iter_mut().enumerate() {
                 for b in 0..cfg.banks {
                     assert_eq!(
-                        batch.bank_output(lane, b),
+                        batch.lane_output(lane, b),
                         sc.bank_output(b),
                         "bank_output lane {lane} bank {b} cycle {cycle} ({}b)",
                         cfg.banks
                     );
-                    assert_eq!(batch.write_done(lane, b), sc.write_done(b));
-                    assert_eq!(batch.parity_error(lane, b), sc.parity_error(b));
+                    assert_eq!(batch.lane_write_done(lane, b), sc.write_done(b));
+                    assert_eq!(batch.lane_parity_error(lane, b), sc.parity_error(b));
                     let view = BatchLaneModel::new(&mut batch, lane);
                     assert_eq!(view.bank_output(b), sc.bank_output(b));
                 }
@@ -1656,8 +1722,8 @@ mod checkpoint_tests {
             restored.cycle(&[&lane_a[i], &lane_b[i]]);
             for lane in 0..LANES {
                 for b in 0..cfg.banks {
-                    assert_eq!(orig.bank_output(lane, b), restored.bank_output(lane, b));
-                    assert_eq!(orig.write_done(lane, b), restored.write_done(lane, b));
+                    assert_eq!(orig.lane_output(lane, b), restored.lane_output(lane, b));
+                    assert_eq!(orig.lane_write_done(lane, b), restored.lane_write_done(lane, b));
                 }
             }
         }

@@ -30,11 +30,11 @@
 //!   cycles-to-closure. A pure function of `(seed, config)` — the same
 //!   inputs give byte-identical [`ClosureReport::to_json`] output;
 //! * [`run_closure_rtl`] / [`run_closure_rtl_batched`] — multi-stream
-//!   closure on the interpreted RTL: up to 64 independent seeded
-//!   streams merged into one bin set, run one lane per stream through
-//!   the bit-parallel [`LaRtlBatchDriver`](la1_core::rtl_model::LaRtlBatchDriver)
-//!   (PPSFP) or sequentially through scalar drivers — the two produce
-//!   byte-identical [`MultiClosureReport::to_json`] output.
+//!   closure on the interpreted RTL: seeded streams merged into one bin
+//!   set, one stream per lane of an [`RtlDriver`](la1_core::rtl_model::RtlDriver)
+//!   — one body with one scalar driver per stream or 64 streams per
+//!   bit-parallel (PPSFP) driver, byte-identical
+//!   [`MultiClosureReport::to_json`] output either way.
 //!
 //! Monitors catch violations; coverage proves the monitors were ever
 //! provoked. The `closure` binary in `la1-bench` regenerates the

@@ -6,35 +6,38 @@
 //! and *merge* their coverage: a bin is closed as soon as any stream
 //! hits it.
 //!
-//! Two runners produce the identical [`MultiClosureReport`]:
+//! One body runs the streams over `ceil(streams / V::LANES)`
+//! [`RtlDriver<V>`]s, one stream per lane, stepping each driver through
+//! the whole epoch in turn. Its two instances produce the identical
+//! [`MultiClosureReport`]:
 //!
-//! * [`run_closure_rtl`] — the scalar reference: one [`LaRtlDriver`]
-//!   per stream, streams executed one after another within each epoch;
-//! * [`run_closure_rtl_batched`] — all streams as lanes of one
-//!   [`LaRtlBatchDriver`], every compiled-netlist operation advancing
-//!   all of them at once (PPSFP). Per-lane pins are bit-identical to
-//!   the scalar driver, so the merged bin sets, first-hit cycles and
-//!   JSON reports are equal byte for byte — the equivalence the test
-//!   suite pins at 1/2 banks and under LA-1B.
+//! * [`run_closure_rtl`] — one lane per driver ([`LogicVec`]): one
+//!   scalar driver per stream, streams executed one after another within
+//!   each epoch;
+//! * [`run_closure_rtl_batched`] — 64 lanes per driver ([`PackedVec`]):
+//!   every compiled-netlist operation advances up to 64 streams at once
+//!   (PPSFP). Per-lane pins are bit-identical to the scalar driver, so
+//!   the merged bin sets, first-hit cycles and JSON reports are equal
+//!   byte for byte — the equivalence the test suite pins at 1/2 banks
+//!   and under LA-1B.
 //!
-//! Both runners are epoch-lockstep: guidance retargets **all** guided
-//! streams from the *merged* unhit-bin list at every epoch boundary
-//! (cooperative closure), and the budget-or-full stopping rule is
-//! evaluated per epoch. Within an epoch streams share nothing, which is
-//! what makes the sequential and bit-parallel schedules coincide.
+//! Guidance retargets **all** guided streams from the *merged* unhit-bin
+//! list at every epoch boundary (cooperative closure), and the
+//! budget-or-full stopping rule is evaluated per epoch. Within an epoch
+//! streams share nothing, which is what makes every lane width's
+//! schedule coincide.
 
 use crate::closure::{ClosureConfig, Generator};
 use crate::collect::CoverageCollector;
 use crate::model::{BinStats, CoverBin, CoverageModel};
 use la1_core::checkpoint::{config_fingerprint, CheckpointError, Snapshot, Trace};
-use la1_core::cycle_model::BatchLaneModel;
-use la1_core::cycle_model::CycleObserver;
+use la1_core::cycle_model::{BatchLaneModel, CycleObserver};
 use la1_core::json::{Field, Report};
-use la1_core::rtl_model::{LaRtl, LaRtlBatchDriver, LaRtlDriver};
+use la1_core::rtl_model::{LaRtl, LaRtlBatchDriver, LaRtlDriver, RtlDriver};
 use la1_core::spec::{BankOp, LaConfig};
 use la1_core::stimulus::stream_seed;
 use la1_core::workloads::{RandomMix, Workload};
-use la1_rtl::LANES;
+use la1_rtl::{LaneValue, LogicVec, PackedVec};
 
 /// A shared traffic preamble every closure stream runs before its
 /// seeded stimulus starts — typically table-initialization traffic on
@@ -80,13 +83,10 @@ impl ClosurePreamble {
     pub fn with_snapshots(mut self, config: &LaConfig) -> Result<ClosurePreamble, CheckpointError> {
         let design = LaRtl::build(config, None);
         let mut driver = LaRtlDriver::new(&design);
-        self.trace.replay_into(&mut driver);
+        self.replay(&mut driver);
         self.snapshot = Some(Snapshot::of_rtl(&driver)?);
         let mut batch = LaRtlBatchDriver::new(&design);
-        for ops in &self.trace.cycles {
-            let refs: Vec<&[BankOp]> = (0..LANES).map(|_| ops.as_slice()).collect();
-            batch.cycle(&refs);
-        }
+        self.replay(&mut batch);
         self.batch_snapshot = Some(Snapshot::of_rtl_batch(&batch)?);
         Ok(self)
     }
@@ -101,49 +101,22 @@ impl ClosurePreamble {
         self.snapshot.is_some() && self.batch_snapshot.is_some()
     }
 
-    /// Brings one scalar driver past the preamble: restore when warm,
-    /// replay when cold. Fingerprint-checked either way.
-    fn apply_scalar(
-        &self,
-        design: &LaRtl,
-        driver: &mut LaRtlDriver,
-    ) -> Result<(), CheckpointError> {
-        match &self.snapshot {
-            Some(snap) => {
-                *driver = snap.into_rtl(design)?;
-                Ok(())
-            }
-            None => {
-                self.check_trace(design)?;
-                self.trace.replay_into(driver);
-                Ok(())
-            }
+    /// Replays the trace into every lane of `driver`.
+    fn replay<V: LaneValue>(&self, driver: &mut RtlDriver<V>) {
+        let mut lanes: Vec<&[BankOp]> = vec![&[]; V::LANES];
+        for ops in &self.trace.cycles {
+            lanes.fill(ops);
+            driver.cycle_lanes(&lanes, |_| {});
         }
     }
 
-    /// Brings the batched driver past the preamble (all lanes).
-    fn apply_batched(
-        &self,
-        design: &LaRtl,
-        driver: &mut LaRtlBatchDriver,
-    ) -> Result<(), CheckpointError> {
-        match &self.batch_snapshot {
-            Some(snap) => {
-                *driver = snap.into_rtl_batch(design)?;
-                Ok(())
-            }
-            None => {
-                self.check_trace(design)?;
-                for ops in &self.trace.cycles {
-                    let refs: Vec<&[BankOp]> = (0..LANES).map(|_| ops.as_slice()).collect();
-                    driver.cycle(&refs);
-                }
-                Ok(())
-            }
+    /// A driver past the preamble: restored when the lane width's
+    /// snapshot is there, replayed otherwise. Fingerprint-checked either
+    /// way.
+    fn driver<V: WarmLanes>(&self, design: &LaRtl) -> Result<RtlDriver<V>, CheckpointError> {
+        if let Some(warm) = V::warm(self, design) {
+            return warm;
         }
-    }
-
-    fn check_trace(&self, design: &LaRtl) -> Result<(), CheckpointError> {
         let expected = config_fingerprint("rtl", design.config());
         if self.trace.fingerprint != expected {
             return Err(CheckpointError::FingerprintMismatch {
@@ -151,7 +124,30 @@ impl ClosurePreamble {
                 expected,
             });
         }
-        Ok(())
+        let mut driver = RtlDriver::new(design);
+        self.replay(&mut driver);
+        Ok(driver)
+    }
+}
+
+/// A driver restored from a warm preamble snapshot, if there is one.
+type Warm<V> = Option<Result<RtlDriver<V>, CheckpointError>>;
+
+/// A lane width closure runs at, and where its warm preamble state
+/// lives in a [`ClosurePreamble`].
+trait WarmLanes: LaneValue {
+    fn warm(preamble: &ClosurePreamble, design: &LaRtl) -> Warm<Self>;
+}
+
+impl WarmLanes for LogicVec {
+    fn warm(p: &ClosurePreamble, design: &LaRtl) -> Warm<Self> {
+        p.snapshot.as_ref().map(|snap| snap.into_rtl(design))
+    }
+}
+
+impl WarmLanes for PackedVec {
+    fn warm(p: &ClosurePreamble, design: &LaRtl) -> Warm<Self> {
+        p.batch_snapshot.as_ref().map(|snap| snap.into_rtl_batch(design))
     }
 }
 
@@ -333,6 +329,49 @@ fn merged_report(
     }
 }
 
+/// Closure over `streams` seeded streams, one per lane of
+/// `ceil(streams / V::LANES)` drivers, each driver stepped through the
+/// whole epoch in turn — the body of both entry points.
+fn closure_rtl<V: WarmLanes>(
+    cfg: &ClosureConfig,
+    guided: bool,
+    streams: u32,
+    preamble: Option<&ClosurePreamble>,
+) -> Result<MultiClosureReport, CheckpointError> {
+    assert!(streams > 0, "at least one stream");
+    let design = LaRtl::build(&cfg.config, None);
+    let mut drivers = (0..(streams as usize).div_ceil(V::LANES))
+        .map(|_| match preamble {
+            Some(p) => p.driver(&design),
+            None => Ok(RtlDriver::<V>::new(&design)),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut state = make_streams(cfg, guided, streams);
+    let mut ops: Vec<Vec<BankOp>> = vec![Vec::new(); V::LANES.min(streams as usize)];
+    let mut run = 0u64;
+    while run < cfg.budget && !merged_full(&state) {
+        if guided {
+            retarget_all(&mut state);
+        }
+        let step = cfg.epoch.min(cfg.budget - run);
+        for (lanes, driver) in state.chunks_mut(V::LANES).zip(&mut drivers) {
+            let ops = &mut ops[..lanes.len()];
+            for _ in 0..step {
+                for (buf, s) in ops.iter_mut().zip(lanes.iter_mut()) {
+                    *buf = s.generator.next_cycle();
+                }
+                driver.cycle_lanes(ops, |_| {});
+                for (lane, (s, ops)) in lanes.iter_mut().zip(ops.iter()).enumerate() {
+                    s.collector
+                        .observe(ops, &mut BatchLaneModel::new(driver, lane));
+                }
+            }
+        }
+        run += step;
+    }
+    Ok(merged_report(cfg, guided, state, run))
+}
+
 /// The scalar multi-stream reference: one [`LaRtlDriver`] per stream,
 /// streams executed sequentially within each epoch. A pure function of
 /// `(cfg, guided, streams)`.
@@ -360,41 +399,16 @@ pub fn run_closure_rtl_from(
     streams: u32,
     preamble: Option<&ClosurePreamble>,
 ) -> Result<MultiClosureReport, CheckpointError> {
-    assert!(streams > 0, "at least one stream");
-    let design = LaRtl::build(&cfg.config, None);
-    let mut drivers: Vec<LaRtlDriver> =
-        (0..streams).map(|_| LaRtlDriver::new(&design)).collect();
-    if let Some(p) = preamble {
-        for d in &mut drivers {
-            p.apply_scalar(&design, d)?;
-        }
-    }
-    let mut state = make_streams(cfg, guided, streams);
-    let mut run = 0u64;
-    while run < cfg.budget && !merged_full(&state) {
-        if guided {
-            retarget_all(&mut state);
-        }
-        let step = cfg.epoch.min(cfg.budget - run);
-        for (s, driver) in state.iter_mut().zip(&mut drivers) {
-            for _ in 0..step {
-                let ops = s.generator.next_cycle();
-                driver.cycle(&ops);
-                s.collector.observe(&ops, driver);
-            }
-        }
-        run += step;
-    }
-    Ok(merged_report(cfg, guided, state, run))
+    closure_rtl::<LogicVec>(cfg, guided, streams, preamble)
 }
 
-/// The bit-parallel multi-stream runner: all streams as lanes of one
-/// [`LaRtlBatchDriver`]. Produces a report byte-identical to
-/// [`run_closure_rtl`] with the same arguments.
+/// The bit-parallel multi-stream runner: the streams as lanes of
+/// [`LaRtlBatchDriver`]s, 64 to a driver. Produces a report
+/// byte-identical to [`run_closure_rtl`] with the same arguments.
 ///
 /// # Panics
 ///
-/// Panics if `streams` is zero or exceeds [`LANES`].
+/// Panics if `streams` is zero.
 pub fn run_closure_rtl_batched(
     cfg: &ClosureConfig,
     guided: bool,
@@ -411,40 +425,12 @@ pub fn run_closure_rtl_batched(
 ///
 /// # Panics
 ///
-/// Panics if `streams` is zero or exceeds [`LANES`].
+/// Panics if `streams` is zero.
 pub fn run_closure_rtl_batched_from(
     cfg: &ClosureConfig,
     guided: bool,
     streams: u32,
     preamble: Option<&ClosurePreamble>,
 ) -> Result<MultiClosureReport, CheckpointError> {
-    assert!(streams > 0, "at least one stream");
-    assert!(streams as usize <= LANES, "at most {LANES} streams");
-    let design = LaRtl::build(&cfg.config, None);
-    let mut driver = LaRtlBatchDriver::new(&design);
-    if let Some(p) = preamble {
-        p.apply_batched(&design, &mut driver)?;
-    }
-    let mut state = make_streams(cfg, guided, streams);
-    let mut run = 0u64;
-    let mut ops: Vec<Vec<BankOp>> = vec![Vec::new(); streams as usize];
-    while run < cfg.budget && !merged_full(&state) {
-        if guided {
-            retarget_all(&mut state);
-        }
-        let step = cfg.epoch.min(cfg.budget - run);
-        for _ in 0..step {
-            for (buf, s) in ops.iter_mut().zip(state.iter_mut()) {
-                *buf = s.generator.next_cycle();
-            }
-            let refs: Vec<&[BankOp]> = ops.iter().map(Vec::as_slice).collect();
-            driver.cycle(&refs);
-            for (lane, s) in state.iter_mut().enumerate() {
-                let mut view = BatchLaneModel::new(&mut driver, lane);
-                s.collector.observe(&ops[lane], &mut view);
-            }
-        }
-        run += step;
-    }
-    Ok(merged_report(cfg, guided, state, run))
+    closure_rtl::<PackedVec>(cfg, guided, streams, preamble)
 }

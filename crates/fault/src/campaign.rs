@@ -13,9 +13,10 @@
 //! * the attached monitors — PSL properties at the SystemC level
 //!   (`parity_0`, `read_latency_0`, …), OVL modules at the RTL+OVL
 //!   level (`ovl_parity_0`, …), reported under their own names;
-//! * `guard` — a panic guard around every DUT cycle: the levels
-//!   enforce the bus protocol by assertion, so a hostile stimulus
-//!   (two reads on the one address bus) trips it;
+//! * `guard` — the levels' protocol asserts: a hostile stimulus (two
+//!   reads on the one address bus) trips them. ASM and SystemC catch the
+//!   assert as it fires; the RTL levels check the bus rule the driver
+//!   asserts ([`bus_legal`](la1_core::spec::bus_legal)) ahead of time;
 //! * `watchdog` — closed-loop runs issue a read whenever none is
 //!   outstanding and declare the run [hung](CellStats::hung) after
 //!   `watchdog_cycles` without a data-valid response.
@@ -27,21 +28,14 @@
 //! config produce a byte-identical [`DetectionMatrix::to_json`].
 
 use crate::models::{FaultModel, FaultPlan, HostileMasterSeq, Injector};
-use la1_core::asm_model::LaAsmModel;
 use la1_core::checkpoint::Trace;
-use la1_core::cycle_model::{CycleModel, RtlWithOvl};
 use la1_core::json::{self, Field, FieldError, Json, Record, Report};
-use la1_core::rtl_model::{LaRtl, LaRtlDriver, XPin};
-use la1_core::sc_model::LaSystemC;
 use la1_core::spec::{BankOp, LaConfig, READ_LATENCY};
 use la1_core::stimulus::{Driver, ScriptSequence};
 use la1_core::workloads::{RandomMix, Workload};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::cell::Cell;
+use rand::Rng;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Once;
 
 /// The executable refinement levels a campaign can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,7 +54,8 @@ impl Level {
     /// All levels, in refinement order.
     pub const ALL: [Level; 4] = [Level::Asm, Level::SystemC, Level::Rtl, Level::RtlOvl];
 
-    /// The level's report name (matches [`CycleModel::level`]).
+    /// The level's report name (matches
+    /// [`CycleModel::level`](la1_core::cycle_model::CycleModel::level)).
     pub fn name(self) -> &'static str {
         match self {
             Level::Asm => "asm",
@@ -114,8 +109,8 @@ pub struct CampaignConfig {
     /// empty one. Script cycle numbering is untouched (the preamble
     /// runs "before cycle 0"), so activation windows and injection
     /// timing are identical with or without it. Ops must be
-    /// protocol-legal full-word traffic — partial-byte writes are not
-    /// representable at the ASM level the goldens include. Empty by
+    /// protocol-legal full-word traffic (a campaign panics otherwise) —
+    /// partial-byte writes are not representable at the ASM level. Empty by
     /// default; the farm journals pin it through the plan fingerprint
     /// like every other campaign parameter.
     pub preamble: Vec<Vec<BankOp>>,
@@ -183,7 +178,7 @@ pub struct CampaignShard {
 }
 
 impl CampaignShard {
-    /// The whole campaign as one shard (what [`run_campaign`] uses).
+    /// The whole campaign as one shard (what [`run_campaign`](crate::run_campaign) uses).
     pub fn full(config: &CampaignConfig) -> CampaignShard {
         CampaignShard {
             fault_indices: (0..config.faults.len()).collect(),
@@ -543,133 +538,6 @@ impl Field for DetectionMatrix {
     }
 }
 
-/// One model at one level, owning everything it simulates.
-pub(crate) enum AnyModel {
-    Asm(LaAsmModel),
-    Sc(LaSystemC),
-    Rtl(LaRtlDriver),
-    RtlOvl(RtlWithOvl),
-}
-
-impl AnyModel {
-    fn as_model(&mut self) -> &mut dyn CycleModel {
-        match self {
-            AnyModel::Asm(m) => m,
-            AnyModel::Sc(m) => m,
-            AnyModel::Rtl(m) => m,
-            AnyModel::RtlOvl(m) => m,
-        }
-    }
-
-    fn bank_output(&self, bank: u32) -> Option<u64> {
-        match self {
-            AnyModel::Asm(m) => m.bank_output(bank),
-            AnyModel::Sc(m) => m.bank_output(bank),
-            AnyModel::Rtl(m) => m.bank_output(bank),
-            AnyModel::RtlOvl(m) => CycleModel::bank_output(m, bank),
-        }
-    }
-
-    fn write_done(&self, bank: u32) -> bool {
-        match self {
-            AnyModel::Asm(m) => m.write_done(bank),
-            AnyModel::Sc(m) => m.write_done(bank),
-            AnyModel::Rtl(m) => m.write_done(bank),
-            AnyModel::RtlOvl(m) => CycleModel::write_done(m, bank),
-        }
-    }
-
-    fn violation_details(&self) -> Vec<(String, u64)> {
-        match self {
-            AnyModel::Asm(m) => m.violation_details(),
-            AnyModel::Sc(m) => CycleModel::violation_details(m),
-            AnyModel::Rtl(m) => m.violation_details(),
-            AnyModel::RtlOvl(m) => m.violation_details(),
-        }
-    }
-
-    /// Arms the four-state X injection on the write-data pins (RTL
-    /// levels only; a no-op elsewhere).
-    fn inject_x(&mut self) {
-        match self {
-            AnyModel::Rtl(m) => m.inject_x(XPin::WData),
-            AnyModel::RtlOvl(m) => m.driver_mut().inject_x(XPin::WData),
-            AnyModel::Asm(_) | AnyModel::Sc(_) => {}
-        }
-    }
-}
-
-/// Builds the faulted device under test for one run.
-pub(crate) fn build_dut(level: Level, cfg: &LaConfig, plan: Option<&FaultPlan>) -> AnyModel {
-    let parity_bank = plan
-        .filter(|p| p.model == FaultModel::ParityFault)
-        .map(|p| p.bank);
-    match level {
-        Level::Asm => AnyModel::Asm(LaAsmModel::new(cfg)),
-        Level::SystemC => {
-            let mut sc = LaSystemC::new(cfg);
-            sc.attach_default_monitors();
-            if let Some(bank) = parity_bank {
-                sc.inject_parity_fault(bank);
-            }
-            AnyModel::Sc(sc)
-        }
-        Level::Rtl => AnyModel::Rtl(LaRtlDriver::new(&LaRtl::build(cfg, parity_bank))),
-        Level::RtlOvl => AnyModel::RtlOvl(RtlWithOvl::new(&LaRtl::build(cfg, parity_bank))),
-    }
-}
-
-/// Builds the healthy golden model the scoreboard compares against —
-/// same level, no fault, no monitors (the RTL+OVL golden is the bare
-/// driver: the scoreboard only reads pins).
-pub(crate) fn build_golden(level: Level, cfg: &LaConfig) -> AnyModel {
-    match level {
-        Level::Asm => AnyModel::Asm(LaAsmModel::new(cfg)),
-        Level::SystemC => AnyModel::Sc(LaSystemC::new(cfg)),
-        Level::Rtl | Level::RtlOvl => {
-            AnyModel::Rtl(LaRtlDriver::new(&LaRtl::build(cfg, None)))
-        }
-    }
-}
-
-thread_local! {
-    /// Set while a guarded DUT cycle runs, so the process panic hook
-    /// stays silent for expected protocol-assert trips.
-    static GUARDING: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Installs (once per process) a panic hook that suppresses output for
-/// panics caught by the campaign's cycle guard and defers to the
-/// previous hook for everything else.
-pub(crate) fn install_guard_hook() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !GUARDING.with(|g| g.get()) {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// Drives one DUT cycle under the panic guard; `true` means a protocol
-/// assertion tripped.
-pub(crate) fn guarded_cycle(dut: &mut AnyModel, ops: &[BankOp]) -> bool {
-    GUARDING.with(|g| g.set(true));
-    let result = catch_unwind(AssertUnwindSafe(|| dut.as_model().cycle(ops)));
-    GUARDING.with(|g| g.set(false));
-    result.is_err()
-}
-
-/// The outcome of one seeded run.
-pub(crate) struct RunResult {
-    /// channel name → detection latency in cycles (first detection).
-    pub(crate) detections: BTreeMap<String, u64>,
-    /// Closed-loop run made no progress within the watchdog budget.
-    pub(crate) hung: bool,
-}
-
 /// The open-loop stimulus: a priming phase writing a distinct word to
 /// every `(bank, addr)` slot, a mixed phase with one random read and
 /// one round-robin write per cycle (the round-robin write order means
@@ -680,15 +548,7 @@ pub(crate) fn open_loop_script(cfg: &LaConfig, rng: &mut StdRng) -> Vec<Vec<Bank
     let words = cfg.words_per_bank;
     let slots = cfg.banks * words;
     let full_be = (1u32 << cfg.byte_enables()) - 1;
-    let mut script = Vec::new();
-    for slot in 0..slots {
-        script.push(vec![BankOp::write(
-            slot / words,
-            (slot % words) as u64,
-            0x0100 + slot as u64,
-            full_be,
-        )]);
-    }
+    let mut script: Vec<Vec<BankOp>> = (0..slots).map(|slot| vec![prime_write(cfg, slot)]).collect();
     for i in 0..slots {
         let read = BankOp::read(
             rng.gen_range(0..cfg.banks),
@@ -706,6 +566,14 @@ pub(crate) fn open_loop_script(cfg: &LaConfig, rng: &mut StdRng) -> Vec<Vec<Bank
     script
 }
 
+/// The priming write of one `(bank, addr)` slot: a distinct full word,
+/// so every later read returns real data.
+pub(crate) fn prime_write(cfg: &LaConfig, slot: u32) -> BankOp {
+    let words = cfg.words_per_bank;
+    let full_be = (1u32 << cfg.byte_enables()) - 1;
+    BankOp::write(slot / words, (slot % words) as u64, 0x0100 + slot as u64, full_be)
+}
+
 /// Replays a campaign script through the transaction layer: a
 /// [`ScriptSequence`] behind a [`Driver`]. The driver is built on the
 /// base-LA-1 view of the configuration (burst length 1): campaign
@@ -714,14 +582,18 @@ pub(crate) fn open_loop_script(cfg: &LaConfig, rng: &mut StdRng) -> Vec<Vec<Bank
 /// point, so only the structural one-read-one-write bus mapping
 /// applies, and a legal script comes back verbatim.
 pub(crate) fn replay_script(cfg: &LaConfig, script: Vec<Vec<BankOp>>) -> Vec<Vec<BankOp>> {
-    let base = LaConfig {
-        burst_len: 1,
-        ..cfg.clone()
-    };
     let total = script.len();
-    let mut driver = Driver::new(&base);
+    let mut driver = base_driver(cfg);
     let mut seq = ScriptSequence::new(script);
     (0..total).map(|_| driver.cycle_from(&mut seq)).collect()
+}
+
+/// A transaction driver on the base-LA-1 view of `cfg` (burst length 1).
+fn base_driver(cfg: &LaConfig) -> Driver {
+    Driver::new(&LaConfig {
+        burst_len: 1,
+        ..cfg.clone()
+    })
 }
 
 /// Derives the faulted stimulus of one open-loop run from the intended
@@ -736,11 +608,7 @@ pub(crate) fn inject_stream(
     intended: &[Vec<BankOp>],
 ) -> (Vec<Vec<BankOp>>, Option<u64>) {
     if plan.model == FaultModel::HostileMaster {
-        let base = LaConfig {
-            burst_len: 1,
-            ..cfg.clone()
-        };
-        let mut driver = Driver::new(&base);
+        let mut driver = base_driver(cfg);
         let mut seq = HostileMasterSeq::new(
             ScriptSequence::new(intended.to_vec()),
             plan.bank,
@@ -774,184 +642,6 @@ pub(crate) fn activation_window(cfg: &LaConfig) -> (u64, u64) {
     (slots, 2 * slots)
 }
 
-/// One open-loop run: faulted DUT vs healthy golden on the same
-/// intended stimulus, monitors collected afterwards. The intended
-/// cycles come off the transaction layer ([`replay_script`]) and the
-/// faulted stimulus off [`inject_stream`].
-pub(crate) fn open_loop_run(
-    level: Level,
-    cfg: &LaConfig,
-    plan: FaultPlan,
-    rng: &mut StdRng,
-    preamble: &[Vec<BankOp>],
-) -> RunResult {
-    let script = replay_script(cfg, open_loop_script(cfg, rng));
-    let (injected_script, x_cycle) = inject_stream(cfg, &plan, &script);
-    let mut golden = build_golden(level, cfg);
-    let mut dut = build_dut(level, cfg, Some(&plan));
-    let mut detections: BTreeMap<String, u64> = BTreeMap::new();
-    let activation = plan.activation;
-    // deep-state preamble: both models advance through it from reset
-    // (the DUT guarded — a structural fault may legitimately trip an
-    // assertion on deep traffic), then the script starts at cycle 0
-    // as if the preamble were part of reset.
-    for ops in preamble {
-        golden.as_model().cycle(ops);
-        if guarded_cycle(&mut dut, ops) {
-            detections.insert("guard".to_string(), 0);
-            return RunResult {
-                detections,
-                hung: false,
-            };
-        }
-    }
-    for (i, intended) in script.iter().enumerate() {
-        let cycle = i as u64;
-        let injected = &injected_script[i];
-        if x_cycle == Some(cycle) {
-            dut.inject_x();
-        }
-        golden.as_model().cycle(intended);
-        if guarded_cycle(&mut dut, injected) {
-            detections.insert("guard".to_string(), cycle.saturating_sub(activation));
-            break;
-        }
-        if !detections.contains_key("scoreboard") {
-            for bank in 0..cfg.banks {
-                if dut.bank_output(bank) != golden.bank_output(bank)
-                    || dut.write_done(bank) != golden.write_done(bank)
-                {
-                    detections
-                        .insert("scoreboard".to_string(), cycle.saturating_sub(activation));
-                    break;
-                }
-            }
-        }
-    }
-    for (name, cycle) in dut.violation_details() {
-        let latency = cycle.saturating_sub(activation);
-        detections
-            .entry(name)
-            .and_modify(|l| *l = (*l).min(latency))
-            .or_insert(latency);
-    }
-    RunResult {
-        detections,
-        hung: false,
-    }
-}
-
-/// One closed-loop run: the master issues a read whenever none is
-/// outstanding and counts data-valid responses; `watchdog_cycles`
-/// without progress declares the run hung. `plan == None` is the
-/// healthy-design control.
-pub(crate) fn closed_loop_run(
-    level: Level,
-    cfg: &LaConfig,
-    plan: Option<FaultPlan>,
-    watchdog_cycles: u64,
-    target_reads: u32,
-    preamble: &[Vec<BankOp>],
-) -> RunResult {
-    let words = cfg.words_per_bank;
-    let slots = cfg.banks * words;
-    let full_be = (1u32 << cfg.byte_enables()) - 1;
-    let mut dut = build_dut(level, cfg, plan.as_ref());
-    let mut injector = plan.clone().map(Injector::new);
-    let activation = plan.as_ref().map_or(0, |p| p.activation);
-    let mut detections: BTreeMap<String, u64> = BTreeMap::new();
-    let mut hung = false;
-
-    // deep-state preamble, before priming (cycle numbering of the
-    // closed loop below is untouched — the preamble is part of reset)
-    for ops in preamble {
-        if guarded_cycle(&mut dut, ops) {
-            detections.insert("guard".to_string(), 0);
-            return RunResult {
-                detections,
-                hung: true,
-            };
-        }
-    }
-
-    // prime every slot so reads return real data
-    for slot in 0..slots {
-        let ops = vec![BankOp::write(
-            slot / words,
-            (slot % words) as u64,
-            0x0100 + slot as u64,
-            full_be,
-        )];
-        if guarded_cycle(&mut dut, &ops) {
-            detections.insert("guard".to_string(), 0);
-            return RunResult {
-                detections,
-                hung: true,
-            };
-        }
-    }
-
-    let prime_len = slots as u64;
-    let window = activation_window(cfg);
-    // never declare success before the activation window has passed
-    // and the fault had a chance to swallow a post-activation read —
-    // otherwise a late-activating fault is never exercised at all
-    let min_cycles = window.1.max(activation + READ_LATENCY as u64 + 4);
-    let hard_cap = prime_len
-        + (window.1 - window.0)
-        + (target_reads as u64 + 4) * (READ_LATENCY as u64 + 2)
-        + 2 * watchdog_cycles
-        + 16;
-    let mut completed = 0u32;
-    let mut last_progress = prime_len;
-    let mut outstanding = false;
-    let mut counter: u32 = 0;
-    for cycle in prime_len..hard_cap {
-        let mut ops = Vec::new();
-        if !outstanding {
-            let slot = counter % slots;
-            counter += 1;
-            ops.push(BankOp::read(slot / words, (slot % words) as u64));
-            outstanding = true;
-        }
-        if let Some(injector) = &mut injector {
-            injector.apply(cycle, cfg, &mut ops);
-        }
-        if guarded_cycle(&mut dut, &ops) {
-            detections.insert("guard".to_string(), cycle.saturating_sub(activation));
-            hung = true;
-            break;
-        }
-        if (0..cfg.banks).any(|b| dut.bank_output(b).is_some()) {
-            completed += 1;
-            outstanding = false;
-            last_progress = cycle;
-            if completed >= target_reads && cycle >= min_cycles {
-                break;
-            }
-        }
-        if cycle - last_progress >= watchdog_cycles {
-            detections.insert("watchdog".to_string(), cycle.saturating_sub(activation));
-            hung = true;
-            break;
-        }
-    }
-    if completed < target_reads && !hung {
-        // the hard cap ran out without the watchdog firing: still no
-        // forward progress to the target — report it as hung
-        detections.insert("watchdog".to_string(), hard_cap.saturating_sub(activation));
-        hung = true;
-    }
-    for (name, cycle) in dut.violation_details() {
-        let latency = cycle.saturating_sub(activation);
-        detections
-            .entry(name)
-            .and_modify(|l| *l = (*l).min(latency))
-            .or_insert(latency);
-    }
-    RunResult { detections, hung }
-}
-
 /// Derives the per-run seed from the campaign seed and the run's
 /// coordinates (splitmix-style finalizer keeps neighboring runs
 /// decorrelated).
@@ -964,87 +654,6 @@ pub(crate) fn run_seed(base: u64, fault_idx: usize, level_idx: usize, run: u32) 
     z = z.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z ^= z >> 27;
     z
-}
-
-/// Runs the full campaign: every configured fault on every supporting
-/// level, `runs_per_fault` seeded runs each, plus one healthy-design
-/// closed-loop control per level, and the cross-level monitor
-/// agreement check.
-pub fn run_campaign(config: &CampaignConfig) -> DetectionMatrix {
-    run_campaign_shard(config, &CampaignShard::full(config))
-}
-
-/// Runs one shard of the campaign with the scalar engines: only the
-/// shard's fault indices (with their *global* per-run seeds), and the
-/// healthy controls only when the shard carries them. The union of a
-/// disjoint shard family's matrices ([`DetectionMatrix::merge`])
-/// reproduces [`run_campaign`] byte-for-byte.
-pub fn run_campaign_shard(config: &CampaignConfig, shard: &CampaignShard) -> DetectionMatrix {
-    install_guard_hook();
-    let cfg = &config.la1;
-    let mut matrix = DetectionMatrix {
-        banks: cfg.banks,
-        seed: config.seed,
-        runs_per_fault: config.runs_per_fault,
-        cells: BTreeMap::new(),
-        healthy: BTreeMap::new(),
-        disagreements: Vec::new(),
-    };
-    for (fault_idx, &fault) in config.faults.iter().enumerate() {
-        if !shard.includes(fault_idx) {
-            continue;
-        }
-        for (level_idx, &level) in config.levels.iter().enumerate() {
-            if !supports(fault, level) {
-                continue;
-            }
-            let cell = matrix
-                .cells
-                .entry(fault.name().to_string())
-                .or_default()
-                .entry(level.name().to_string())
-                .or_default();
-            for run in 0..config.runs_per_fault {
-                let seed = run_seed(config.seed, fault_idx, level_idx, run);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let plan = FaultPlan::sample(fault, cfg, activation_window(cfg), &mut rng);
-                let result = if fault.closed_loop() {
-                    closed_loop_run(
-                        level,
-                        cfg,
-                        Some(plan),
-                        config.watchdog_cycles,
-                        config.target_reads,
-                        &config.preamble,
-                    )
-                } else {
-                    open_loop_run(level, cfg, plan, &mut rng, &config.preamble)
-                };
-                cell.runs += 1;
-                cell.hung += u32::from(result.hung);
-                for (channel, latency) in result.detections {
-                    let stat = cell.monitors.entry(channel).or_default();
-                    stat.detected += 1;
-                    stat.latency_sum += latency;
-                }
-            }
-        }
-    }
-    if shard.healthy {
-        for &level in &config.levels {
-            let result = closed_loop_run(
-                level,
-                cfg,
-                None,
-                config.watchdog_cycles,
-                config.target_reads,
-                &config.preamble,
-            );
-            matrix.healthy.insert(level.name().to_string(), !result.hung);
-        }
-    }
-    matrix.disagreements = compute_disagreements(&matrix.cells);
-    matrix
 }
 
 /// Cross-level monitor agreement: the monitored levels (PSL at

@@ -16,6 +16,10 @@
 //! live in ordered maps, and no wall-clock time enters the matrix, so
 //! [`DetectionMatrix::to_json`] is byte-identical across repeats.
 //!
+//! One runner, written once over lane engines, drives every level;
+//! [`run_campaign`] and [`run_campaign_batched`] are its 1-lane and
+//! 64-lane instances and give the same matrix byte for byte.
+//!
 //! ```
 //! use la1_fault::{run_campaign, CampaignConfig, FaultModel, Level};
 //!
@@ -28,15 +32,16 @@
 //! ```
 
 mod campaign;
-mod campaign_batched;
 mod models;
+mod runner;
 
 pub use campaign::{
-    run_campaign, run_campaign_shard, supports, CampaignConfig, CampaignShard, CellStats,
-    DetectionMatrix, Level, MonitorStat,
+    supports, CampaignConfig, CampaignShard, CellStats, DetectionMatrix, Level, MonitorStat,
 };
-pub use campaign_batched::{run_campaign_batched, run_campaign_batched_shard, BatchStats};
 pub use models::{FaultModel, FaultPlan, HostileMasterSeq, Injector};
+pub use runner::{
+    run_campaign, run_campaign_batched, run_campaign_batched_shard, run_campaign_shard, BatchStats,
+};
 
 #[cfg(test)]
 mod tests;

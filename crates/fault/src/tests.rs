@@ -1,10 +1,10 @@
 //! Tests for the fault models, the injector and the campaign engine.
 
-use crate::campaign::{
-    run_campaign, run_campaign_shard, supports, CampaignConfig, CampaignShard, Level,
-};
-use crate::campaign_batched::{run_campaign_batched, run_campaign_batched_shard};
+use crate::campaign::{supports, CampaignConfig, CampaignShard, Level};
 use crate::models::{FaultModel, FaultPlan, HostileMasterSeq, Injector};
+use crate::runner::{
+    run_campaign, run_campaign_batched, run_campaign_batched_shard, run_campaign_shard, run_shard,
+};
 use la1_core::spec::{BankOp, LaConfig};
 use la1_core::stimulus::{Driver, ScriptSequence};
 use rand::rngs::StdRng;
@@ -398,6 +398,45 @@ fn deep_state_preamble_keeps_scalar_and_batched_agreeing() {
         scalar.to_json(),
         "preambled campaign is not deterministic"
     );
+}
+
+#[test]
+fn multi_wave_campaign_agrees_at_both_lane_widths() {
+    // 10 open-loop faults x 7 runs = 70 open runs per RTL level, more
+    // than one 64-lane wave holds: the 64-lane instance needs several
+    // waves, the 1-lane one a wave per run
+    let mut config = CampaignConfig::new(2, 17);
+    config.runs_per_fault = 7;
+    config.levels = vec![Level::Rtl, Level::RtlOvl];
+    config.record_preamble(5, 40);
+    let open_runs = FaultModel::ALL.iter().filter(|f| !f.closed_loop()).count();
+    assert!(open_runs * config.runs_per_fault as usize > la1_rtl::LANES);
+    let full = CampaignShard::full(&config);
+    let (one, one_stats) = run_shard::<la1_rtl::LogicVec>(&config, &full);
+    let (wide, wide_stats) = run_shard::<la1_rtl::PackedVec>(&config, &full);
+    assert_eq!(
+        one.to_json(),
+        wide.to_json(),
+        "1-lane and 64-lane matrices diverged"
+    );
+    // only the engine count may depend on the lane width
+    assert_eq!(
+        (
+            one_stats.rtl_lane_runs,
+            one_stats.lanes_retired_early,
+            one_stats.lane_cycles_saved
+        ),
+        (
+            wide_stats.rtl_lane_runs,
+            wide_stats.lanes_retired_early,
+            wide_stats.lane_cycles_saved
+        ),
+        "lane bookkeeping diverged:\n1 lane: {}\n64 lanes: {}",
+        one_stats.render(),
+        wide_stats.render()
+    );
+    assert!(wide_stats.groups < one_stats.groups);
+    assert!(wide_stats.lanes_retired_early > 0);
 }
 
 #[test]

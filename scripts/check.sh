@@ -37,9 +37,11 @@ cargo run -q -p la1-bench --bin campaign -- 1 2 --smoke --batched > /dev/null
 # Bit-parallel throughput gates (DESIGN.md §10). Floors sit below the
 # measured release numbers on a 1-core host (see EXPERIMENTS.md, "Bit-parallel throughput") so
 # timing noise does not flake the gate: the raw kernel measures
-# 11-14x (floor 8), the rtl-level campaign 5.4-7.8x (floor 4), and the
-# 64-stream closure 5.4-6x (floor 3). Each line also re-asserts
-# batched == scalar byte identity before timing is even consulted.
+# 11-14x (floor 8), the rtl-level campaign 4.6-6.2x (floor 4), and the
+# 64-stream closure 4.8-7x (floor 3); the campaign and closure figures
+# are ratios of medians over seven alternating scalar/batched samples.
+# Each line also re-asserts batched == scalar byte identity before
+# timing is even consulted.
 ./target/release/throughput 4 --cycles 2000 --assert-speedup 8 > /dev/null
 ./target/release/campaign 4 --batched --levels rtl --assert-speedup 4 > /dev/null
 ./target/release/closure --smoke --assert-speedup 3 > /dev/null

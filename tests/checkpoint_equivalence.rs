@@ -266,13 +266,13 @@ fn batched_rtl_restore_is_equivalent_at_random_cut_points() {
             for lane in 0..LANES {
                 for b in 0..cfg.banks {
                     assert_eq!(
-                        orig.bank_output(lane, b),
-                        restored.bank_output(lane, b),
+                        orig.lane_output(lane, b),
+                        restored.lane_output(lane, b),
                         "batch seed={seed} cut={cut}: lane {lane} bank {b} data diverged"
                     );
                     assert_eq!(
-                        orig.write_done(lane, b),
-                        restored.write_done(lane, b),
+                        orig.lane_write_done(lane, b),
+                        restored.lane_write_done(lane, b),
                         "batch seed={seed} cut={cut}: lane {lane} bank {b} wdone diverged"
                     );
                 }

@@ -126,20 +126,24 @@ fn byte_enable_equivalence_sc_rtl() {
 
 /// Table 3's direction holds even in a debug-build smoke test: the
 /// compiled SystemC flow is faster per cycle than the interpreted
-/// RTL+OVL flow.
+/// RTL+OVL flow. Each side's time per cycle is the median of seven
+/// interleaved runs, so one sample taken under host load cannot flip it.
 #[test]
 fn systemc_outpaces_rtl_ovl() {
     let cfg = LaConfig::new(2);
-    let mut w1 = RandomMix::new(&cfg, 5, 0.6, 0.4);
-    let sc = run_systemc_abv(&cfg, &mut w1, 400);
-    let mut w2 = RandomMix::new(&cfg, 5, 0.6, 0.4);
-    let ovl = run_rtl_ovl(&cfg, &mut w2, 100);
-    assert_eq!(sc.violations, 0);
-    assert_eq!(ovl.violations, 0);
-    assert!(
-        ovl.time_per_cycle() > sc.time_per_cycle(),
-        "rtl {:?}/cycle vs sc {:?}/cycle",
-        ovl.time_per_cycle(),
-        sc.time_per_cycle()
-    );
+    let (mut sc, mut ovl) = (Vec::new(), Vec::new());
+    for _ in 0..7 {
+        let mut w1 = RandomMix::new(&cfg, 5, 0.6, 0.4);
+        let run = run_systemc_abv(&cfg, &mut w1, 400);
+        assert_eq!(run.violations, 0);
+        sc.push(run.time_per_cycle());
+        let mut w2 = RandomMix::new(&cfg, 5, 0.6, 0.4);
+        let run = run_rtl_ovl(&cfg, &mut w2, 100);
+        assert_eq!(run.violations, 0);
+        ovl.push(run.time_per_cycle());
+    }
+    sc.sort();
+    ovl.sort();
+    let (sc, ovl) = (sc[sc.len() / 2], ovl[ovl.len() / 2]);
+    assert!(ovl > sc, "rtl {ovl:?}/cycle vs sc {sc:?}/cycle (medians of 7)");
 }
